@@ -1,11 +1,18 @@
 // Kernel throughput sweep with a built-in correctness gate.
 //
 // Measures gemm/gemm_nt/gemm_tn at several square sizes: the serial
-// reference, the blocked tier (SIMD forced off) at thread counts
-// {1, 2, hardware}, and the SIMD tier at hardware threads — the
-// configuration production search runs actually use. Every non-reference
-// measurement is first verified bitwise against the reference result — a
-// bench that reports speed on wrong bits is worse than no bench.
+// reference, the installed default (KernelConfig{}: blocked, one thread,
+// SIMD auto — what every search runs), the blocked tier (SIMD forced off)
+// at thread counts {1, 2, hardware}, and the SIMD tier at hardware threads.
+// Every non-reference measurement is first verified bitwise against the
+// reference result — a bench that reports speed on wrong bits is worse than
+// no bench.
+//
+// Timing interleaves the configurations: each of kReps rounds times the
+// reference and then every variant once, and each row keeps its best round.
+// Host load that drifts during the sweep then hits the reference and the
+// variants alike, which keeps the same-run `speedup_vs_ref` steady enough
+// to gate on across hosts (perf_diff --metric speedup).
 //
 // Usage:
 //   bench_kernels [--json PATH] [--require-speedup X] [--max-size N]
@@ -21,6 +28,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -52,7 +60,7 @@ struct Record {
   std::string op;
   std::size_t size = 0;
   std::size_t threads = 0;   // 0 = serial reference row (informational)
-  std::string config;        // stable label: "ref", "t1", "t2", "tmax", "simd"
+  std::string config;        // stable label: "ref", "t1", "default", "t2", "tmax", "simd"
   double gflops = 0.0;
   double speedup = 1.0;  // vs the reference row of the same (op, size)
 };
@@ -62,6 +70,7 @@ struct Record {
 /// is, so two machines' BENCH files diff record-for-record (see perf_diff).
 int config_rank(const std::string& config) {
   if (config == "ref") return 0;
+  if (config == "default") return 1;  // beside t1, its SIMD-off twin
   if (config == "tmax") return 1000;
   if (config == "simd") return 2000;
   return std::stoi(config.substr(1));
@@ -73,17 +82,14 @@ double now_seconds() {
       .count();
 }
 
-/// Best-of-reps timing of fn(), with iteration count scaled so one rep does
-/// meaningful work even at small sizes.
-double time_best_seconds(std::size_t iters, const std::function<void()>& fn) {
-  double best = 1e300;
-  for (int rep = 0; rep < 5; ++rep) {
-    const double t0 = now_seconds();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    const double dt = (now_seconds() - t0) / static_cast<double>(iters);
-    best = std::min(best, dt);
-  }
-  return best;
+constexpr int kReps = 7;
+
+/// Mean seconds per call of fn() over `iters` calls; the iteration count is
+/// scaled so one rep does meaningful work even at small sizes.
+double time_seconds(std::size_t iters, const std::function<void()>& fn) {
+  const double t0 = now_seconds();
+  for (std::size_t i = 0; i < iters; ++i) fn();
+  return (now_seconds() - t0) / static_cast<double>(iters);
 }
 
 bool bytes_equal(const Tensor& a, const Tensor& b) {
@@ -144,44 +150,61 @@ int main(int argc, char** argv) {
           std::max<std::size_t>(1, static_cast<std::size_t>(2e8 / flops));
 
       Tensor want({n, n});
-      const double ref_dt =
-          time_best_seconds(iters, [&] { op.ref(a, b, want); });
-      const double ref_gflops = flops / ref_dt / 1e9;
-      records.push_back({op.name, n, 0, "ref", ref_gflops, 1.0});
-      std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
-                << std::setw(9) << "ref" << std::setw(10) << std::fixed
-                << std::setprecision(2) << ref_gflops << "1.00\n";
+      op.ref(a, b, want);
 
-      // Blocked tier (SIMD forced off) at each thread count, then the SIMD
-      // tier at hardware threads — the default production configuration.
+      // The default config, the blocked tier (SIMD forced off) at each
+      // thread count, then the SIMD tier at hardware threads.
       struct Variant {
         std::string config;
-        std::size_t threads;
-        ncnas::tensor::SimdMode simd;
+        KernelConfig cfg;
+        bool ok = true;
+        double best = 1e300;
       };
       std::vector<Variant> variants;
+      variants.push_back({"default", KernelConfig{}});
       for (std::size_t t : thread_counts) {
-        variants.push_back({t == hw ? "tmax" : "t" + std::to_string(t), t,
-                            ncnas::tensor::SimdMode::kOff});
+        KernelConfig cfg = KernelConfig::parallel(t);
+        cfg.simd = ncnas::tensor::SimdMode::kOff;
+        variants.push_back({t == hw ? "tmax" : "t" + std::to_string(t), cfg});
       }
-      variants.push_back({"simd", hw, ncnas::tensor::SimdMode::kOn});
-      for (const Variant& v : variants) {
-        KernelConfig cfg = KernelConfig::parallel(v.threads);
-        cfg.min_blocked_flops = 0;
-        cfg.simd = v.simd;
-        KernelConfigGuard guard(cfg);
+      KernelConfig simd = KernelConfig::parallel(hw);
+      simd.simd = ncnas::tensor::SimdMode::kOn;
+      variants.push_back({"simd", simd});
+      for (Variant& v : variants) {
+        v.cfg.min_blocked_flops = 0;
+        KernelConfigGuard guard(v.cfg);
         Tensor got({n, n});
         op.kernel(a, b, got);
         if (!bytes_equal(want, got)) {
           std::cerr << "BIT MISMATCH: " << op.name << " n=" << n
                     << " config=" << v.config << "\n";
           bits_ok = false;
-          continue;
+          v.ok = false;
         }
-        const double dt = time_best_seconds(iters, [&] { op.kernel(a, b, got); });
-        const double gflops = flops / dt / 1e9;
-        const double speedup = ref_dt / dt;
-        records.push_back({op.name, n, v.threads, v.config, gflops, speedup});
+      }
+
+      double ref_dt = 1e300;
+      Tensor got({n, n});
+      for (int rep = 0; rep < kReps; ++rep) {
+        ref_dt = std::min(ref_dt, time_seconds(iters, [&] { op.ref(a, b, want); }));
+        for (Variant& v : variants) {
+          if (!v.ok) continue;
+          KernelConfigGuard guard(v.cfg);
+          op.kernel(a, b, got);  // warm the kernel pool after a resize
+          v.best = std::min(v.best, time_seconds(iters, [&] { op.kernel(a, b, got); }));
+        }
+      }
+
+      const double ref_gflops = flops / ref_dt / 1e9;
+      records.push_back({op.name, n, 0, "ref", ref_gflops, 1.0});
+      std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
+                << std::setw(9) << "ref" << std::setw(10) << std::fixed
+                << std::setprecision(2) << ref_gflops << "1.00\n";
+      for (const Variant& v : variants) {
+        if (!v.ok) continue;
+        const double gflops = flops / v.best / 1e9;
+        const double speedup = ref_dt / v.best;
+        records.push_back({op.name, n, v.cfg.threads, v.config, gflops, speedup});
         std::cout << std::left << std::setw(9) << op.name << std::setw(6) << n
                   << std::setw(9) << v.config << std::setw(10) << std::fixed
                   << std::setprecision(2) << gflops << std::setprecision(2)

@@ -17,6 +17,7 @@ using namespace ncnas;
 
 void BM_Gemm(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  tensor::KernelConfigGuard guard(tensor::KernelConfig::reference());
   tensor::Rng rng(1);
   tensor::Tensor a({n, n}), b({n, n}), c({n, n});
   for (float& v : a.flat()) v = static_cast<float>(rng.normal());

@@ -9,7 +9,8 @@
 //                 metric = self ms, lower is better)
 //
 //   ./examples/perf_diff <baseline.json> <current.json> \
-//       [--threshold 0.15] [--fail-on-regress] [--match SUBSTR]...
+//       [--threshold 0.15] [--fail-on-regress] [--match SUBSTR]... \
+//       [--metric gflops|speedup]
 //
 // The file kind is auto-detected (both inputs must be the same kind) and
 // every record present on both sides is compared; relative deltas beyond the
@@ -21,6 +22,12 @@
 // turns flagged regressions into exit code 1. Profile self-times are only
 // comparable between runs of the same workload on the same machine; bench
 // GFLOP/s records are keyed machine-independently (see bench_kernels).
+//
+// `--metric speedup` compares bench records by their same-run
+// `speedup_vs_ref` instead of absolute GFLOP/s, so a baseline recorded on a
+// different host still gates the fast tiers: each side's ratio is measured
+// against the reference kernel of its own run. The reference rows (speedup
+// 1 by definition) are skipped in that mode.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -79,15 +86,18 @@ Kind detect_kind(const std::string& content) {
   return Kind::kUnknown;
 }
 
-std::map<std::string, Record> load_bench(const std::string& content) {
+std::map<std::string, Record> load_bench(const std::string& content, bool speedup) {
   std::map<std::string, Record> out;
   std::istringstream is(content);
   std::string line;
   while (std::getline(is, line)) {
     std::string op;
     if (!find_string(line, "op", op)) continue;
-    double size = 0.0, gflops = 0.0;
-    if (!find_number(line, "size", size) || !find_number(line, "gflops", gflops)) continue;
+    double size = 0.0, value = 0.0;
+    if (!find_number(line, "size", size) ||
+        !find_number(line, speedup ? "speedup_vs_ref" : "gflops", value)) {
+      continue;
+    }
     std::string config;
     if (!find_string(line, "config", config)) {
       // Pre-schema records carried only a raw thread count.
@@ -95,9 +105,10 @@ std::map<std::string, Record> load_bench(const std::string& content) {
       find_number(line, "threads", threads);
       config = "t" + std::to_string(static_cast<long long>(threads));
     }
+    if (speedup && config == "ref") continue;
     const std::string key =
         op + "/" + std::to_string(static_cast<long long>(size)) + "/" + config;
-    out[key] = {gflops, /*higher_is_better=*/true};
+    out[key] = {value, /*higher_is_better=*/true};
   }
   return out;
 }
@@ -125,6 +136,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> matches;
   double threshold = 0.15;
   bool fail_on_regress = false;
+  bool speedup = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threshold") {
@@ -141,13 +153,20 @@ int main(int argc, char** argv) {
       matches.push_back(argv[++i]);
     } else if (arg == "--fail-on-regress") {
       fail_on_regress = true;
+    } else if (arg == "--metric") {
+      const std::string m = i + 1 < argc ? argv[++i] : "";
+      if (m != "gflops" && m != "speedup") {
+        std::cerr << "--metric must be gflops or speedup\n";
+        return 2;
+      }
+      speedup = m == "speedup";
     } else {
       paths.push_back(arg);
     }
   }
   if (paths.size() != 2) {
     std::cerr << "usage: perf_diff <baseline.json> <current.json> [--threshold 0.15]"
-                 " [--fail-on-regress] [--match SUBSTR]...\n";
+                 " [--fail-on-regress] [--match SUBSTR]... [--metric gflops|speedup]\n";
     return 2;
   }
   const auto matched = [&matches](const std::string& key) {
@@ -175,14 +194,15 @@ int main(int argc, char** argv) {
 
   std::map<std::string, Record> base, cur;
   try {
-    base = kind == Kind::kBench ? load_bench(contents[0]) : load_profile(contents[0]);
-    cur = kind == Kind::kBench ? load_bench(contents[1]) : load_profile(contents[1]);
+    base = kind == Kind::kBench ? load_bench(contents[0], speedup) : load_profile(contents[0]);
+    cur = kind == Kind::kBench ? load_bench(contents[1], speedup) : load_profile(contents[1]);
   } catch (const std::exception& e) {
     std::cerr << e.what() << "\n";
     return 2;
   }
 
-  const char* metric = kind == Kind::kBench ? "GFLOP/s" : "self_ms";
+  const char* metric =
+      kind == Kind::kBench ? (speedup ? "speedup_vs_ref" : "GFLOP/s") : "self_ms";
   std::cout << "perf_diff (" << (kind == Kind::kBench ? "bench" : "profile") << ", metric "
             << metric << ", threshold " << fmt(100.0 * threshold) << "%)\n";
   std::cout << "  baseline: " << paths[0] << " (" << base.size() << " records)\n";

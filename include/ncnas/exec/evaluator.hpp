@@ -13,10 +13,11 @@
 // all-agents-converged stopping rule.
 //
 // Kernel policy: the training hot path (Trainer/Lstm/layers) runs on the
-// process-wide tensor::KernelConfig. Installing a blocked/parallel config
-// before search() speeds up reward estimation without changing any reward
-// bit — the kernels are bit-identical across thread counts by design, which
-// is why KernelConfig stays out of config_fingerprint().
+// process-wide tensor::KernelConfig — by default the blocked/SIMD kernels on
+// the calling pool thread. Installing another tier (reference, pooled)
+// changes speed, never a reward bit — the kernels are bit-identical across
+// tiers and thread counts by design, which is why KernelConfig stays out of
+// config_fingerprint().
 #pragma once
 
 #include <functional>

@@ -9,6 +9,10 @@
 // run local PPO epochs, and exchange deltas through the ParameterServer —
 // synchronously (A2C barrier) or asynchronously (A3C). RDM skips all RL
 // machinery but keeps the identical evaluation pipeline, as in the paper.
+// Agents that start a cycle at the same virtual time (the bootstrap, every
+// A2C round) hand their misses to the host pool as one batch; results are
+// identical to cycling them one at a time (DESIGN.md, "Plan → evaluate →
+// commit").
 //
 // The run ends at the simulated wall-time limit or earlier when every agent
 // keeps regenerating cached architectures (the paper's convergence stop on
@@ -123,10 +127,11 @@ struct SearchConfig {
   /// trained an entry, per-tenant hit/miss stats). Accounting only — never
   /// part of cache keys or config_fingerprint().
   std::uint32_t tenant_id = 0;
-  // Note: the tensor kernel policy is process-wide (tensor::KernelConfig),
-  // not a SearchConfig field — blocked/parallel kernels are bit-identical to
-  // the serial reference at every thread count, so it belongs with the
-  // result-neutral toggles above and stays out of config_fingerprint().
+  // Note: the tensor kernel policy is process-wide (tensor::KernelConfig,
+  // blocked kernels on one thread by default), not a SearchConfig field —
+  // every tier is bit-identical to the serial reference at every thread
+  // count, so it belongs with the result-neutral toggles above and stays
+  // out of config_fingerprint().
 };
 
 /// One completed reward estimation, stamped with its virtual completion time.

@@ -12,10 +12,16 @@
 // allocations. Scopes nest (LIFO per thread); memory handed out by a scope
 // may be written by kernel-pool workers, but alloc()/rewind themselves must
 // happen on the owning thread.
+//
+// Each chunk is its own anonymous mmap, unmapped when the owning thread
+// exits. Chunks live as long as their thread, so on the heap they would pin
+// each pool thread's malloc arena at its high-water mark; a private mapping
+// keeps them out of malloc entirely. Pages are 64-byte aligned by
+// construction.
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <utility>
 #include <vector>
 
 namespace ncnas::tensor::detail {
@@ -48,12 +54,23 @@ class Arena {
   [[nodiscard]] std::size_t capacity_floats() const noexcept;
 
  private:
-  struct AlignedDelete {
-    void operator()(float* p) const noexcept;
-  };
-  struct Chunk {
-    std::unique_ptr<float[], AlignedDelete> data;
-    std::size_t size = 0;  // floats
+  /// One anonymous mapping of at least `size` floats.
+  class Chunk {
+   public:
+    explicit Chunk(std::size_t floats);
+    Chunk(Chunk&& o) noexcept
+        : data_(std::exchange(o.data_, nullptr)), size_(o.size_), bytes_(o.bytes_) {}
+    Chunk& operator=(Chunk&&) = delete;
+    Chunk(const Chunk&) = delete;
+    ~Chunk();
+
+    [[nodiscard]] float* data() const noexcept { return data_; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+   private:
+    float* data_ = nullptr;
+    std::size_t size_ = 0;   // floats handed out
+    std::size_t bytes_ = 0;  // mapped length (whole pages)
   };
 
   std::vector<Chunk> chunks_;

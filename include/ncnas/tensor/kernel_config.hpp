@@ -1,13 +1,14 @@
 // Process-wide kernel execution policy for the dense linear-algebra layer.
 //
-// The default (threads == 0) keeps the original serial reference kernels —
-// the seed behaviour, bit for bit. Opting in (threads >= 1) switches
-// gemm/gemm_nt/gemm_tn and the large elementwise helpers to cache-blocked
-// kernels; threads > 1 additionally spreads row blocks of the output across
-// a dedicated internal ThreadPool (separate from the search driver's pool,
-// so nested use cannot deadlock). On the blocked path, SimdMode selects the
+// The default (threads == 1) runs gemm/gemm_nt/gemm_tn and the large
+// elementwise helpers on cache-blocked kernels on the calling thread;
+// threads > 1 additionally spreads row blocks of the output across a
+// dedicated internal ThreadPool (separate from the search driver's pool, so
+// nested use cannot deadlock). On the blocked path, SimdMode selects the
 // runtime-dispatched SIMD micro-kernel tier (AVX2 on x86-64, NEON on
-// aarch64) — same bytes, fewer instructions.
+// aarch64) — same bytes, fewer instructions. threads == 0
+// (KernelConfig::reference()) keeps the original serial reference kernels:
+// the oracle every other tier is tested against.
 //
 // Determinism is a hard design rule, not an aspiration: every output element
 // is produced by exactly one task and accumulated in the same (k-ascending)
@@ -40,9 +41,10 @@ enum class SimdMode : int {
 };
 
 struct KernelConfig {
-  /// 0 = serial reference kernels (the default; the seed code path).
-  /// >= 1 = blocked kernels; > 1 also parallelizes across an internal pool.
-  std::size_t threads = 0;
+  /// 0 = serial reference kernels (the oracle, see reference()).
+  /// >= 1 = blocked kernels (1, serial, is the default); > 1 also
+  /// parallelizes across an internal pool.
+  std::size_t threads = 1;
   /// Rows of the output handled per task (MC). Each task owns its rows
   /// exclusively — the "one writer per output element" half of the rule.
   std::size_t block_rows = 64;
@@ -71,8 +73,15 @@ struct KernelConfig {
 
   /// Blocked + pooled config; `threads` 0 picks hardware concurrency.
   [[nodiscard]] static KernelConfig parallel(std::size_t threads = 0);
-  /// The default: serial reference kernels.
+  /// The default: blocked kernels on the calling thread.
   [[nodiscard]] static KernelConfig serial() noexcept { return {}; }
+  /// The serial reference kernels (threads == 0): the straightforward loops
+  /// every blocked, pooled and SIMD tier must match bit for bit.
+  [[nodiscard]] static KernelConfig reference() noexcept {
+    KernelConfig cfg;
+    cfg.threads = 0;
+    return cfg;
+  }
 
   /// Whether the SIMD tier can run in this process: the library was built
   /// optimized with FMA contraction (x86) or for aarch64, the CPU supports

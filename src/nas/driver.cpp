@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -81,6 +82,18 @@ struct AgentState {
   std::vector<double> crash_at;      ///< per-worker planned death time (+inf = never)
   bool dead = false;                 ///< every worker lost; no further cycles
   std::uint64_t exchange_seq = 0;    ///< PS exchange counter for fault verdicts
+};
+
+/// One agent's share of an open pool batch: what plan_cycle resolved from
+/// the caches, and what evaluate_plans trained for the misses.
+struct CyclePlan {
+  AgentState* agent = nullptr;
+  std::vector<std::optional<exec::EvalResult>> results;  ///< per batch position
+  std::vector<std::size_t> miss_index;   ///< batch position per unique miss
+  std::vector<std::string> miss_keys;    ///< arch key per unique miss
+  std::vector<exec::EvalResult> fresh;   ///< trained result per unique miss
+  std::vector<std::size_t> budget_units;  ///< per batch position
+  std::vector<exec::LadderRungStats> rung_stats;
 };
 
 struct Completion {
@@ -263,7 +276,11 @@ class SearchRun {
   bool dispatch_faulty(AgentState& agent, std::vector<double>& worker_free,
                        const exec::EvalResult& r, EvalRecord& rec, double t,
                        double& batch_done, std::size_t budget_units);
-  void start_cycle(AgentState& agent, double t);
+  void start_cycles(std::span<AgentState> agents, double t);
+  bool sample_cycle(AgentState& agent, double t);
+  CyclePlan plan_cycle(AgentState& agent);
+  void evaluate_plans(std::vector<CyclePlan>& plans);
+  void commit_cycle(CyclePlan& plan, double t);
   void a2c_begin_round(double resume);
   void a2c_release_stuck(double now);
   void init_checkpointing(double from_t);
@@ -430,7 +447,7 @@ void SearchRun::bootstrap() {
   if (config_.strategy == SearchStrategy::kA2C) {
     a2c_begin_round(0.0);
   } else {
-    for (AgentState& agent : agents_) start_cycle(agent, 0.0);
+    start_cycles(agents_, 0.0);
   }
 }
 
@@ -723,16 +740,27 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
   }
 }
 
-// ---- one agent cycle: sample M, evaluate, occupy workers, schedule ----
-void SearchRun::start_cycle(AgentState& agent, double t) {
+// ---- agent cycles: plan, evaluate as one pool batch, commit -----------
+// A cycle samples M architectures, resolves them against the caches,
+// trains the misses, occupies the agent's workers and schedules the batch
+// completion. Every agent that starts at the same virtual time (an A2C
+// round, the bootstrap) is planned first, its misses are trained as one
+// pool batch, and the cycles are then committed in agent order. The flush
+// rule in start_cycles closes the open batch before planning an agent that
+// could observe its commits, so every cache lookup, insert, erase, RNG
+// draw, journal event and trace span happens on the same inputs and in the
+// same order as cycling the agents one at a time.
+
+// Stop checks, PS pull and architecture sampling. False = the agent stops.
+bool SearchRun::sample_cycle(AgentState& agent, double t) {
   NCNAS_PROF_SCOPE("driver/cycle");
   if (agent.dead) {  // lost every worker; nothing left to run a batch on
     agent.stopped = true;
-    return;
+    return false;
   }
   if (t >= config_.wall_time_seconds || budget_exhausted_) {
     agent.stopped = true;
-    return;
+    return false;
   }
   if (rl_enabled_) {
     agent.theta_pull = ps_->pull(agent.id);
@@ -769,90 +797,123 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       agent.archs.push_back(space_->random_arch(agent.rng));
     }
   }
+  return true;
+}
 
-  // Resolve against the agent's cache, then the process-wide shared cache;
-  // farm unique misses out for real. Shared lookups run serially on the
-  // driver's event loop (never from pool threads), and a shared hit also
-  // primes the agent cache (flags cleared) so later regenerations stay
-  // agent-local and are not double-counted as shared.
-  std::vector<std::optional<exec::EvalResult>> results(M_);
-  std::vector<std::size_t> miss_index;           // batch position per unique miss
+// Resolve against the agent's cache, then the process-wide shared cache,
+// and list the unique misses to train. Shared lookups run serially on the
+// driver's event loop (never from pool threads), and a shared hit also
+// primes the agent cache (flags cleared) so later regenerations stay
+// agent-local and are not double-counted as shared.
+CyclePlan SearchRun::plan_cycle(AgentState& agent) {
+  NCNAS_PROF_SCOPE("driver/cycle");
+  CyclePlan plan;
+  plan.agent = &agent;
+  plan.results.resize(M_);
   std::unordered_set<std::string> miss_keys;
   for (std::size_t m = 0; m < M_; ++m) {
-    if (config_.use_cache) results[m] = agent.cache->lookup(agent.archs[m]);
-    if (!results[m] && shared_ != nullptr) {
-      results[m] = shared_->lookup(shared_ctx_, space::arch_key(agent.archs[m]),
-                                   config_.tenant_id);
-      if (results[m] && config_.use_cache) {
-        exec::EvalResult primed = *results[m];
+    std::optional<exec::EvalResult>& r = plan.results[m];
+    if (config_.use_cache) r = agent.cache->lookup(agent.archs[m]);
+    if (!r && shared_ != nullptr) {
+      r = shared_->lookup(shared_ctx_, space::arch_key(agent.archs[m]), config_.tenant_id);
+      if (r && config_.use_cache) {
+        exec::EvalResult primed = *r;
         primed.cache_hit = false;
         primed.shared_hit = false;
         agent.cache->insert(agent.archs[m], primed);
       }
     }
-    if (!results[m] && miss_keys.insert(space::arch_key(agent.archs[m])).second) {
-      miss_index.push_back(m);
+    if (!r) {
+      std::string key = space::arch_key(agent.archs[m]);
+      if (miss_keys.insert(key).second) {
+        plan.miss_index.push_back(m);
+        plan.miss_keys.push_back(std::move(key));
+      }
     }
   }
-  std::vector<exec::EvalResult> fresh(miss_index.size());
+  plan.fresh.resize(plan.miss_index.size());
   // Budget units per batch position: 1 per flat training; with a ladder,
   // the number of rung trainings the candidate consumed (its rung-weighted
   // cost — what max_evaluations and serve eval-budget quotas meter).
-  std::vector<std::size_t> budget_units(M_, 1);
+  plan.budget_units.assign(M_, 1);
+  return plan;
+}
+
+// Trains the misses of every planned cycle. Flat misses of all agents go to
+// the pool as one parallel_for; a ladder runs its successive-halving batch
+// per agent, in agent order (it consults and feeds the shared cache's rung
+// contexts as it climbs, so agent order is part of its contract).
+void SearchRun::evaluate_plans(std::vector<CyclePlan>& plans) {
   if (ladder_) {
-    std::vector<space::ArchEncoding> miss_archs;
-    miss_archs.reserve(miss_index.size());
-    for (const std::size_t m : miss_index) miss_archs.push_back(agent.archs[m]);
-    std::vector<exec::LadderRungStats> rung_stats;
-    std::vector<exec::LadderOutcome> outcomes =
-        ladder_->evaluate_batch(miss_archs, agent.eval_seed, &rung_stats, pool_);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      fresh[i] = outcomes[i].result;
-      budget_units[miss_index[i]] = outcomes[i].trainings;
-    }
-    // Rung accounting and journal events, emitted at batch dispatch time
-    // (no deadline filter, like the fault counters): one ladder_rung event
-    // per populated rung, reconciling 1:1 with the result counters.
-    for (const exec::LadderRungStats& rs : rung_stats) {
-      result_.ladder_trainings += rs.trainings;
-      result_.ladder_promotions += rs.survivors;
-      result_.ladder_warm_starts += rs.warm_starts;
-      result_.ladder_rung_hits += rs.rung_hits;
-      if (inst_) {
-        inst_->fidelity_trainings->inc(rs.trainings);
-        inst_->fidelity_promotions->inc(rs.survivors);
-        inst_->fidelity_warm_starts->inc(rs.warm_starts);
-        inst_->fidelity_rung_hits->inc(rs.rung_hits);
-        if (inst_->journal != nullptr) {
-          inst_->journal->append(obs::JournalEventType::kLadderRung, t,
-                                 static_cast<std::uint32_t>(agent.id),
-                                 {{"rung", static_cast<double>(rs.rung)},
-                                  {"candidates", static_cast<double>(rs.candidates)},
-                                  {"survivors", static_cast<double>(rs.survivors)},
-                                  {"trainings", static_cast<double>(rs.trainings)},
-                                  {"warm_starts", static_cast<double>(rs.warm_starts)},
-                                  {"rung_hits", static_cast<double>(rs.rung_hits)},
-                                  {"timeouts", static_cast<double>(rs.timeouts)}});
-        }
+    for (CyclePlan& plan : plans) {
+      std::vector<space::ArchEncoding> miss_archs;
+      miss_archs.reserve(plan.miss_index.size());
+      for (const std::size_t m : plan.miss_index) miss_archs.push_back(plan.agent->archs[m]);
+      const std::vector<exec::LadderOutcome> outcomes = ladder_->evaluate_batch(
+          miss_archs, plan.agent->eval_seed, &plan.rung_stats, pool_);
+      for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        plan.fresh[i] = outcomes[i].result;
+        plan.budget_units[plan.miss_index[i]] = outcomes[i].trainings;
       }
     }
+    return;
+  }
+  std::vector<std::pair<CyclePlan*, std::size_t>> tasks;  // (cycle, miss)
+  for (CyclePlan& plan : plans) {
+    for (std::size_t i = 0; i < plan.miss_index.size(); ++i) tasks.emplace_back(&plan, i);
+  }
+  const auto eval_one = [&](std::size_t k) {
+    CyclePlan& plan = *tasks[k].first;
+    const std::size_t i = tasks[k].second;
+    plan.fresh[i] = evaluator_.evaluate(plan.agent->archs[plan.miss_index[i]],
+                                        plan.agent->eval_seed);
+  };
+  if (pool_ != nullptr && tasks.size() > 1) {
+    tensor::parallel_for(*pool_, tasks.size(), eval_one);
   } else {
-    const auto eval_one = [&](std::size_t i) {
-      fresh[i] = evaluator_.evaluate(agent.archs[miss_index[i]], agent.eval_seed);
-    };
-    if (pool_ != nullptr && miss_index.size() > 1) {
-      tensor::parallel_for(*pool_, miss_index.size(), eval_one);
-    } else {
-      for (std::size_t i = 0; i < miss_index.size(); ++i) eval_one(i);
+    for (std::size_t k = 0; k < tasks.size(); ++k) eval_one(k);
+  }
+}
+
+// Cache inserts, worker occupancy, records, journal and trace, budget, and
+// the completion push for one evaluated cycle.
+void SearchRun::commit_cycle(CyclePlan& plan, double t) {
+  NCNAS_PROF_SCOPE("driver/cycle");
+  AgentState& agent = *plan.agent;
+  std::vector<std::optional<exec::EvalResult>>& results = plan.results;
+  // Rung accounting and journal events, emitted at batch dispatch time
+  // (no deadline filter, like the fault counters): one ladder_rung event
+  // per populated rung, reconciling 1:1 with the result counters.
+  for (const exec::LadderRungStats& rs : plan.rung_stats) {
+    result_.ladder_trainings += rs.trainings;
+    result_.ladder_promotions += rs.survivors;
+    result_.ladder_warm_starts += rs.warm_starts;
+    result_.ladder_rung_hits += rs.rung_hits;
+    if (inst_) {
+      inst_->fidelity_trainings->inc(rs.trainings);
+      inst_->fidelity_promotions->inc(rs.survivors);
+      inst_->fidelity_warm_starts->inc(rs.warm_starts);
+      inst_->fidelity_rung_hits->inc(rs.rung_hits);
+      if (inst_->journal != nullptr) {
+        inst_->journal->append(obs::JournalEventType::kLadderRung, t,
+                               static_cast<std::uint32_t>(agent.id),
+                               {{"rung", static_cast<double>(rs.rung)},
+                                {"candidates", static_cast<double>(rs.candidates)},
+                                {"survivors", static_cast<double>(rs.survivors)},
+                                {"trainings", static_cast<double>(rs.trainings)},
+                                {"warm_starts", static_cast<double>(rs.warm_starts)},
+                                {"rung_hits", static_cast<double>(rs.rung_hits)},
+                                {"timeouts", static_cast<double>(rs.timeouts)}});
+      }
     }
   }
-  for (std::size_t i = 0; i < miss_index.size(); ++i) {
-    agent.cache->insert(agent.archs[miss_index[i]], fresh[i]);
+  for (std::size_t i = 0; i < plan.miss_index.size(); ++i) {
+    const std::size_t m = plan.miss_index[i];
+    agent.cache->insert(agent.archs[m], plan.fresh[i]);
     if (shared_ != nullptr) {
-      shared_->insert(shared_ctx_, space::arch_key(agent.archs[miss_index[i]]),
-                      config_.tenant_id, fresh[i]);
+      shared_->insert(shared_ctx_, plan.miss_keys[i], config_.tenant_id, plan.fresh[i]);
     }
-    results[miss_index[i]] = fresh[i];  // first occurrence stays a real task
+    results[m] = plan.fresh[i];  // first occurrence stays a real task
   }
   // Within-batch duplicates of a fresh miss read the cache result.
   for (std::size_t m = 0; m < M_; ++m) {
@@ -891,7 +952,7 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
       monitor_.add_busy_interval(start, end);
       rec.time = end;
       batch_done = std::max(batch_done, end);
-      real_evals_ += budget_units[m];
+      real_evals_ += plan.budget_units[m];
       if (inst_) {
         inst_->trace->span("eval", "exec", start, r.sim_duration,
                            static_cast<std::uint32_t>(agent.id),
@@ -905,7 +966,8 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
                                   {"train_wall_ms", r.train_wall_ms}});
         }
       }
-    } else if (!dispatch_faulty(agent, worker_free, r, rec, t, batch_done, budget_units[m]) &&
+    } else if (!dispatch_faulty(agent, worker_free, r, rec, t, batch_done,
+                                plan.budget_units[m]) &&
                !agent.dead) {
       // First task that found no live worker: the agent's pool is gone.
       // Remaining tasks of this batch floor the same way; the batch still
@@ -934,9 +996,55 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
     inst_->trace->span("agent_cycle", "driver", t, scheduled - t,
                        static_cast<std::uint32_t>(agent.id),
                        {{"batch", static_cast<double>(M_)},
-                        {"misses", static_cast<double>(miss_index.size())}});
+                        {"misses", static_cast<double>(plan.miss_index.size())}});
   }
   queue_.push({scheduled, seq_++, agent.id});
+}
+
+// The one entry point for starting cycles: every agent of an A2C round or
+// of the bootstrap, or the single agent a completion restarts.
+//
+// Flush rule — the open batch is evaluated and committed before agent k is
+// planned whenever agent k could observe it:
+//  * budget: with max_evaluations set, the batch's upper-bound units
+//    (misses x rungs) could reach the cap, so a commit may stop agent k;
+//  * shared cache: one of agent k's archs is a pending miss (first-writer
+//    inserts and fault-path erases touch only those keys), or the store is
+//    bounded and pending inserts could evict what agent k would look up.
+// Agent caches are per agent, ParameterServer::pull only records a
+// version, and no commit touches the parameter server, so nothing else a
+// commit does is visible to a later agent's plan.
+void SearchRun::start_cycles(std::span<AgentState> agents, double t) {
+  const std::size_t units_per_miss = ladder_ ? config_.ladder.rungs.size() : 1;
+  std::vector<CyclePlan> open;
+  std::unordered_set<std::string> pending_keys;  // miss keys of the open batch
+  std::size_t pending_units = 0;
+  const auto flush = [&] {
+    evaluate_plans(open);
+    for (CyclePlan& plan : open) commit_cycle(plan, t);
+    open.clear();
+    pending_keys.clear();
+    pending_units = 0;
+  };
+  open.reserve(agents.size());
+  for (AgentState& agent : agents) {
+    if (config_.max_evaluations != 0 && pending_units != 0 &&
+        real_evals_ + pending_units >= config_.max_evaluations) {
+      flush();
+    }
+    if (!sample_cycle(agent, t)) continue;
+    if (shared_ != nullptr && !pending_keys.empty() &&
+        (shared_->max_entries() != 0 ||
+         std::ranges::any_of(agent.archs, [&](const space::ArchEncoding& a) {
+           return pending_keys.contains(space::arch_key(a));
+         }))) {
+      flush();
+    }
+    const CyclePlan& plan = open.emplace_back(plan_cycle(agent));
+    for (const std::string& key : plan.miss_keys) pending_keys.insert(key);
+    pending_units += plan.miss_index.size() * units_per_miss;
+  }
+  flush();
 }
 
 // ---- A2C round bookkeeping --------------------------------------------
@@ -946,11 +1054,13 @@ void SearchRun::start_cycle(AgentState& agent, double t) {
 // already-dead agents queue nothing.
 void SearchRun::a2c_begin_round(double resume) {
   a2c_round_time_ = 0.0;
+  std::vector<bool> was_dead(N_);
+  for (std::size_t i = 0; i < N_; ++i) was_dead[i] = agents_[i].dead;
+  start_cycles(agents_, resume);
   a2c_outstanding_ = 0;
-  for (AgentState& a : agents_) {
-    const bool was_dead = a.dead;
-    start_cycle(a, resume);
-    if (!was_dead && (!a.stopped || a.dead)) ++a2c_outstanding_;
+  for (std::size_t i = 0; i < N_; ++i) {
+    const AgentState& a = agents_[i];
+    if (!was_dead[i] && (!a.stopped || a.dead)) ++a2c_outstanding_;
   }
 }
 
@@ -1070,7 +1180,7 @@ bool SearchRun::process_completion(const Completion& done) {
   }
 
   if (!rl_enabled_) {
-    start_cycle(agent, t + config_.agent_overhead_seconds);
+    start_cycles({&agent, 1}, t + config_.agent_overhead_seconds);
     return false;
   }
 
@@ -1109,7 +1219,7 @@ bool SearchRun::process_completion(const Completion& done) {
   if (config_.strategy == SearchStrategy::kA3C) {
     if (fx_ == nullptr) {
       ps_->submit(agent.id, delta, t);
-      start_cycle(agent, t + config_.agent_overhead_seconds);
+      start_cycles({&agent, 1}, t + config_.agent_overhead_seconds);
     } else {
       const exec::FaultInjector::ExchangeFault ef =
           fx_->exchange_fault(agent.id, agent.exchange_seq++);
@@ -1138,7 +1248,7 @@ bool SearchRun::process_completion(const Completion& done) {
         }
         ps_->submit(agent.id, delta, t);
       }
-      start_cycle(agent, resume);
+      start_cycles({&agent, 1}, resume);
     }
   } else {
     a2c_round_time_ = std::max(a2c_round_time_, t);

@@ -1,5 +1,8 @@
 #include "ncnas/tensor/arena.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <new>
 
@@ -20,8 +23,16 @@ std::size_t align_up(std::size_t n) {
 
 }  // namespace
 
-void Arena::AlignedDelete::operator()(float* p) const noexcept {
-  ::operator delete[](p, std::align_val_t{64});
+Arena::Chunk::Chunk(std::size_t floats) : size_(floats) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  bytes_ = (floats * sizeof(float) + page - 1) / page * page;
+  void* p = ::mmap(nullptr, bytes_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  data_ = static_cast<float*>(p);
+}
+
+Arena::Chunk::~Chunk() {
+  if (data_ != nullptr) ::munmap(data_, bytes_);
 }
 
 Arena& Arena::local() {
@@ -34,8 +45,8 @@ float* Arena::alloc(std::size_t n) {
   // Advance through existing chunks before growing a new one.
   while (chunk_ < chunks_.size()) {
     Chunk& c = chunks_[chunk_];
-    if (used_ + want <= c.size) {
-      float* out = c.data.get() + used_;
+    if (used_ + want <= c.size()) {
+      float* out = c.data() + used_;
       used_ += want;
       return out;
     }
@@ -43,20 +54,17 @@ float* Arena::alloc(std::size_t n) {
     used_ = 0;
   }
   std::size_t grow = std::max(want, kMinChunkFloats);
-  if (!chunks_.empty()) grow = std::max(grow, chunks_.back().size * 2);
-  Chunk c;
-  c.data.reset(static_cast<float*>(::operator new[](grow * sizeof(float), std::align_val_t{64})));
-  c.size = grow;
+  if (!chunks_.empty()) grow = std::max(grow, chunks_.back().size() * 2);
+  chunks_.emplace_back(grow);
   obs::profile_alloc(grow * sizeof(float));
-  chunks_.push_back(std::move(c));
   chunk_ = chunks_.size() - 1;
   used_ = want;
-  return chunks_.back().data.get();
+  return chunks_.back().data();
 }
 
 std::size_t Arena::capacity_floats() const noexcept {
   std::size_t total = 0;
-  for (const Chunk& c : chunks_) total += c.size;
+  for (const Chunk& c : chunks_) total += c.size();
   return total;
 }
 

@@ -45,7 +45,7 @@ bool simd_env_enabled() {
 // are race-free without a lock on the hot path. Writes are documented as
 // phase boundaries only (see kernel_config.hpp), so field-level tearing
 // across a concurrent read cannot happen in a correct program.
-std::atomic<std::size_t> g_threads{0};
+std::atomic<std::size_t> g_threads{1};
 std::atomic<std::size_t> g_block_rows{64};
 std::atomic<std::size_t> g_block_cols{256};
 std::atomic<std::size_t> g_min_blocked_flops{16 * 1024};

@@ -384,8 +384,15 @@ TEST_F(KernelDiff, SimdTierEngagesExactlyWhenEligible) {
   using ncnas::tensor::planned_gemm_path;
   {
     // threads == 0 is the serial reference tier; SIMD must never engage.
-    KernelConfigGuard guard{KernelConfig{}};
+    KernelConfigGuard guard{KernelConfig::reference()};
     EXPECT_EQ(planned_gemm_path(64, 64, 64), GemmPath::kReference);
+  }
+  {
+    // The installed default (blocked, one thread, SIMD auto) takes the
+    // fastest tier the host offers.
+    KernelConfigGuard guard{KernelConfig{}};
+    EXPECT_EQ(planned_gemm_path(64, 64, 64),
+              KernelConfig::simd_available() ? GemmPath::kSimd : GemmPath::kBlocked);
   }
   {
     KernelConfigGuard guard(test_config(1, SimdMode::kOff));

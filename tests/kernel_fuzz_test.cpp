@@ -181,7 +181,7 @@ TEST(KernelFuzz, AxpyScaleAllTiersBitwiseVsReference) {
 
     Tensor want = y0;
     {
-      KernelConfigGuard serial{KernelConfig{}};
+      KernelConfigGuard reference{KernelConfig::reference()};
       ncnas::tensor::axpy(alpha, alias ? want : x, want);
       ncnas::tensor::scale_inplace(want, alpha);
     }
@@ -210,7 +210,7 @@ TEST(KernelFuzz, RowwiseOpsAllTiersBitwiseVsReference) {
     Tensor want_bias = y0;
     Tensor want_sums = sums0;
     {
-      KernelConfigGuard serial{KernelConfig{}};
+      KernelConfigGuard reference{KernelConfig::reference()};
       ncnas::tensor::add_row_bias(want_bias, bias);
       ncnas::tensor::accumulate_col_sums(g, want_sums);
     }

@@ -176,9 +176,12 @@ TEST(KernelDeterminism, RandomShapesByteIdenticalSerialVsParallel) {
     for (float& v : at.flat()) v = static_cast<float>(rng.normal());
 
     Tensor c_serial({m, n}), cnt_serial({m, n}), ctn_serial({m, n});
-    gemm(a, bn, c_serial);  // default config: serial reference
-    gemm_nt(a, bt, cnt_serial);
-    gemm_tn(at, bn, ctn_serial);
+    {
+      KernelConfigGuard reference(KernelConfig::reference());
+      gemm(a, bn, c_serial);
+      gemm_nt(a, bt, cnt_serial);
+      gemm_tn(at, bn, ctn_serial);
+    }
 
     KernelConfigGuard guard(pooled_config());
     Tensor c_par({m, n}), cnt_par({m, n}), ctn_par({m, n});
@@ -194,8 +197,9 @@ TEST(KernelDeterminism, RandomShapesByteIdenticalSerialVsParallel) {
 TEST(KernelDeterminism, SearchResultBitIdenticalAcrossKernelTiers) {
   // The end-to-end guarantee: a full driver strategy pass (controller LSTM,
   // PPO updates, reward-estimation training) produces a bit-identical
-  // SearchResult on every kernel tier — serial reference, blocked on the
-  // pool with SIMD forced off, and the SIMD tier — for every strategy.
+  // SearchResult on every kernel tier — serial reference, the installed
+  // default (blocked, one thread, SIMD auto), blocked on the pool with SIMD
+  // forced off, and the SIMD tier — for every strategy.
   data::Nt3Dims dims;
   dims.train = 64;
   dims.valid = 32;
@@ -217,16 +221,23 @@ TEST(KernelDeterminism, SearchResultBitIdenticalAcrossKernelTiers) {
     cfg.seed = 11;
     const std::string tag = "strategy " + std::to_string(static_cast<int>(strategy));
 
-    const nas::SearchResult baseline = nas::SearchDriver(s, ds, cfg).run();
+    const nas::SearchResult baseline = [&] {
+      KernelConfigGuard reference(KernelConfig::reference());
+      return nas::SearchDriver(s, ds, cfg).run();
+    }();
 
+    const KernelConfig default_tier = KernelConfig::serial();  // blocked, 1 thread, SIMD auto
+    KernelConfig blocked_tier = pooled_config();
+    blocked_tier.simd = SimdMode::kOff;
+    KernelConfig simd_tier = pooled_config();
+    simd_tier.simd = SimdMode::kOn;
     struct Tier {
       const char* label;
-      SimdMode simd;
+      KernelConfig config;
     };
-    for (const Tier tier : {Tier{"blocked", SimdMode::kOff}, Tier{"simd", SimdMode::kOn}}) {
-      KernelConfig kcfg = pooled_config();
-      kcfg.simd = tier.simd;
-      KernelConfigGuard guard(kcfg);
+    for (const Tier& tier : {Tier{"default", default_tier}, Tier{"blocked", blocked_tier},
+                             Tier{"simd", simd_tier}}) {
+      KernelConfigGuard guard(tier.config);
       const nas::SearchResult got = nas::SearchDriver(s, ds, cfg).run();
 
       ASSERT_EQ(baseline.evals.size(), got.evals.size()) << tag << " tier " << tier.label;
