@@ -2,13 +2,13 @@
 //
 // Three tiers, selected by the process-wide KernelConfig (kernel_config.hpp):
 //
-//  * Reference kernels (`*_ref`, the default): the original single-threaded
-//    triple loops. These are the oracles — simple enough to be obviously
-//    correct, and the bit-exact ground truth kernel_diff_test compares
-//    against.
-//  * Blocked kernels (opt-in): cache-blocked, B-panel-packed micro-kernels,
-//    parallelized over row blocks of the output on a dedicated internal
-//    ThreadPool. Deterministic by construction — each output element is
+//  * Reference kernels (`*_ref`, KernelConfig::reference()): the original
+//    single-threaded triple loops. These are the oracles — simple enough to
+//    be obviously correct, and the bit-exact ground truth kernel_diff_test
+//    compares against.
+//  * Blocked kernels (the default, on the calling thread): cache-blocked,
+//    B-panel-packed micro-kernels, optionally parallelized over row blocks
+//    of the output on a dedicated internal ThreadPool. Deterministic by construction — each output element is
 //    written by exactly one task and accumulated in the same k-ascending
 //    order at every thread count — so results stay bit-identical across
 //    1..N threads and against the reference kernels.

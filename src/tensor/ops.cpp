@@ -240,52 +240,61 @@ void gemm_micro_edge(const float* pa, const float* bp, float* pc, std::size_t k,
 ///
 /// The pack buffer comes from the per-thread arena: steady-state calls do
 /// zero heap allocations (the old std::vector alloc'd k*n floats per call).
-/// Pool workers write disjoint panel ranges of it; alloc/rewind stay on the
-/// calling thread as the arena contract requires.
+/// Pooled calls pack every panel up front — pool workers write disjoint
+/// panel ranges of it — and then sweep row blocks across all panels. Serial
+/// calls pack and consume one panel at a time, so their scratch is k*W
+/// floats rather than k*n: every pool thread of a search keeps its arena at
+/// its high-water mark, and a Dense layer's k*n weight panel would otherwise
+/// sit in each of them. alloc/rewind stay on the calling thread as the arena
+/// contract requires. Each output element is still one full-k chain written
+/// by one micro-kernel call, so the grouping never changes a bit.
 void gemm_panels_blocked(const float* pa, const float* pb, float* pc, const GemmDims& d,
                          const KernelConfig& cfg, bool b_transposed) {
   const std::size_t npanels = div_up(d.n, kPanelWidth);
-  // Panel p covers columns [p*W, p*W + w); packing it at offset j0*k keeps
-  // the buffer exactly k*n floats with no holes.
-  detail::ArenaScope scratch;
-  float* packed = scratch.alloc(d.k * d.n);
-  run_tasks(cfg.pooled(), npanels, [&](std::size_t p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t w = std::min(kPanelWidth, d.n - j0);
-    float* dst = packed + j0 * d.k;
-    if (b_transposed) {
-      pack_bt_panel(pb, d.k, j0, w, dst);
-    } else {
-      pack_b_panel(pb, d.k, d.n, j0, w, dst);
-    }
-  });
-
+  const std::size_t group = cfg.pooled() ? npanels : 1;  // panels packed at once
   const simd::KernelTable* tbl = simd_table(cfg);
   const std::size_t panels_per_pass = std::max<std::size_t>(1, cfg.block_cols / kPanelWidth);
   const std::size_t nblocks = div_up(d.m, cfg.block_rows);
-  run_tasks(cfg.pooled(), nblocks, [&](std::size_t blk) {
-    const std::size_t i0 = blk * cfg.block_rows;
-    const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
-    for (std::size_t pc0 = 0; pc0 < npanels; pc0 += panels_per_pass) {
-      const std::size_t pc1 = std::min(pc0 + panels_per_pass, npanels);
-      for (std::size_t p = pc0; p < pc1; ++p) {
-        const std::size_t j0 = p * kPanelWidth;
-        const std::size_t w = std::min(kPanelWidth, d.n - j0);
-        const float* bp = packed + j0 * d.k;
-        if (w == kPanelWidth) {
-          // SIMD handles only full-width panels; bit-safe to mix with the
-          // scalar edge path because equality is a per-element property.
-          if (tbl != nullptr) {
-            tbl->gemm_panel(pa, bp, pc, d.k, d.n, i0, i1, j0);
+  detail::ArenaScope scratch;
+  float* packed = scratch.alloc(d.k * std::min(d.n, group * kPanelWidth));
+  for (std::size_t g0 = 0; g0 < npanels; g0 += group) {
+    const std::size_t g1 = std::min(g0 + group, npanels);
+    // Panel p sits at offset (p - g0)*W*k: every panel before the last is
+    // full width, so the group is exactly k * (its columns) floats.
+    run_tasks(cfg.pooled(), g1 - g0, [&](std::size_t q) {
+      const std::size_t j0 = (g0 + q) * kPanelWidth;
+      const std::size_t w = std::min(kPanelWidth, d.n - j0);
+      float* dst = packed + q * kPanelWidth * d.k;
+      if (b_transposed) {
+        pack_bt_panel(pb, d.k, j0, w, dst);
+      } else {
+        pack_b_panel(pb, d.k, d.n, j0, w, dst);
+      }
+    });
+    run_tasks(cfg.pooled(), nblocks, [&](std::size_t blk) {
+      const std::size_t i0 = blk * cfg.block_rows;
+      const std::size_t i1 = std::min(i0 + cfg.block_rows, d.m);
+      for (std::size_t pc0 = g0; pc0 < g1; pc0 += panels_per_pass) {
+        const std::size_t pc1 = std::min(pc0 + panels_per_pass, g1);
+        for (std::size_t p = pc0; p < pc1; ++p) {
+          const std::size_t j0 = p * kPanelWidth;
+          const std::size_t w = std::min(kPanelWidth, d.n - j0);
+          const float* bp = packed + (p - g0) * kPanelWidth * d.k;
+          if (w == kPanelWidth) {
+            // SIMD handles only full-width panels; bit-safe to mix with the
+            // scalar edge path because equality is a per-element property.
+            if (tbl != nullptr) {
+              tbl->gemm_panel(pa, bp, pc, d.k, d.n, i0, i1, j0);
+            } else {
+              gemm_micro_full<kPanelWidth>(pa, bp, pc, d.k, d.n, i0, i1, j0);
+            }
           } else {
-            gemm_micro_full<kPanelWidth>(pa, bp, pc, d.k, d.n, i0, i1, j0);
+            gemm_micro_edge(pa, bp, pc, d.k, d.n, i0, i1, j0, w);
           }
-        } else {
-          gemm_micro_edge(pa, bp, pc, d.k, d.n, i0, i1, j0, w);
         }
       }
-    }
-  });
+    });
+  }
 }
 
 /// gemm_tn micro-kernels: C rows [i, i+R) x columns [j0, j0+W). A columns
