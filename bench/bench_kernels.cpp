@@ -152,8 +152,9 @@ int main(int argc, char** argv) {
       Tensor want({n, n});
       op.ref(a, b, want);
 
-      // The default config, the blocked tier (SIMD forced off) at each
-      // thread count, then the SIMD tier at hardware threads.
+      // The default config as installed, then the blocked tier (SIMD forced
+      // off) at each thread count and the SIMD tier at hardware threads,
+      // both forced onto the blocked path at every size.
       struct Variant {
         std::string config;
         KernelConfig cfg;
@@ -165,13 +166,14 @@ int main(int argc, char** argv) {
       for (std::size_t t : thread_counts) {
         KernelConfig cfg = KernelConfig::parallel(t);
         cfg.simd = ncnas::tensor::SimdMode::kOff;
+        cfg.min_blocked_flops = 0;
         variants.push_back({t == hw ? "tmax" : "t" + std::to_string(t), cfg});
       }
       KernelConfig simd = KernelConfig::parallel(hw);
       simd.simd = ncnas::tensor::SimdMode::kOn;
+      simd.min_blocked_flops = 0;
       variants.push_back({"simd", simd});
       for (Variant& v : variants) {
-        v.cfg.min_blocked_flops = 0;
         KernelConfigGuard guard(v.cfg);
         Tensor got({n, n});
         op.kernel(a, b, got);

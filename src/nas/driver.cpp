@@ -810,7 +810,7 @@ CyclePlan SearchRun::plan_cycle(AgentState& agent) {
   CyclePlan plan;
   plan.agent = &agent;
   plan.results.resize(M_);
-  std::unordered_set<std::string> miss_keys;
+  std::unordered_set<std::string> seen;  // unique misses so far
   for (std::size_t m = 0; m < M_; ++m) {
     std::optional<exec::EvalResult>& r = plan.results[m];
     if (config_.use_cache) r = agent.cache->lookup(agent.archs[m]);
@@ -825,7 +825,7 @@ CyclePlan SearchRun::plan_cycle(AgentState& agent) {
     }
     if (!r) {
       std::string key = space::arch_key(agent.archs[m]);
-      if (miss_keys.insert(key).second) {
+      if (seen.insert(key).second) {
         plan.miss_index.push_back(m);
         plan.miss_keys.push_back(std::move(key));
       }
