@@ -82,7 +82,7 @@ double now_seconds() {
       .count();
 }
 
-constexpr int kReps = 7;
+constexpr int kReps = 21;
 
 /// Mean seconds per call of fn() over `iters` calls; the iteration count is
 /// scaled so one rep does meaningful work even at small sizes.

@@ -8,9 +8,8 @@
 //                 examples/telemetry_dump (records keyed by scope name,
 //                 metric = self ms, lower is better)
 //
-//   ./examples/perf_diff <baseline.json> <current.json> \
-//       [--threshold 0.15] [--fail-on-regress] [--match SUBSTR]... \
-//       [--metric gflops|speedup]
+//   ./examples/perf_diff <baseline.json> <current.json> [--threshold 0.15]
+//       [--fail-on-regress] [--match SUBSTR]... [--metric gflops|speedup]
 //
 // The file kind is auto-detected (both inputs must be the same kind) and
 // every record present on both sides is compared; relative deltas beyond the
@@ -26,8 +25,10 @@
 // `--metric speedup` compares bench records by their same-run
 // `speedup_vs_ref` instead of absolute GFLOP/s, so a baseline recorded on a
 // different host still gates the fast tiers: each side's ratio is measured
-// against the reference kernel of its own run. The reference rows (speedup
-// 1 by definition) are skipped in that mode.
+// against the reference kernel of its own run. Only the single-thread rows
+// (`default`, `t1`) are compared in that mode: the reference rows are 1 by
+// definition, and a pooled row's speedup grows with the host's core count,
+// so it would not carry over between hosts.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -98,14 +99,14 @@ std::map<std::string, Record> load_bench(const std::string& content, bool speedu
         !find_number(line, speedup ? "speedup_vs_ref" : "gflops", value)) {
       continue;
     }
+    double threads = 0.0;
+    find_number(line, "threads", threads);
+    if (speedup && threads != 1.0) continue;
     std::string config;
     if (!find_string(line, "config", config)) {
       // Pre-schema records carried only a raw thread count.
-      double threads = 0.0;
-      find_number(line, "threads", threads);
       config = "t" + std::to_string(static_cast<long long>(threads));
     }
-    if (speedup && config == "ref") continue;
     const std::string key =
         op + "/" + std::to_string(static_cast<long long>(size)) + "/" + config;
     out[key] = {value, /*higher_is_better=*/true};

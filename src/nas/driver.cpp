@@ -749,11 +749,13 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
 // rule in start_cycles closes the open batch before planning an agent that
 // could observe its commits, so every cache lookup, insert, erase, RNG
 // draw, journal event and trace span happens on the same inputs and in the
-// same order as cycling the agents one at a time.
+// same order as cycling the agents one at a time. Each phase has its own
+// profiler scope, opened once per agent cycle: driver/sample, driver/plan,
+// and driver/cycle around the commit.
 
 // Stop checks, PS pull and architecture sampling. False = the agent stops.
 bool SearchRun::sample_cycle(AgentState& agent, double t) {
-  NCNAS_PROF_SCOPE("driver/cycle");
+  NCNAS_PROF_SCOPE("driver/sample");
   if (agent.dead) {  // lost every worker; nothing left to run a batch on
     agent.stopped = true;
     return false;
@@ -806,7 +808,7 @@ bool SearchRun::sample_cycle(AgentState& agent, double t) {
 // primes the agent cache (flags cleared) so later regenerations stay
 // agent-local and are not double-counted as shared.
 CyclePlan SearchRun::plan_cycle(AgentState& agent) {
-  NCNAS_PROF_SCOPE("driver/cycle");
+  NCNAS_PROF_SCOPE("driver/plan");
   CyclePlan plan;
   plan.agent = &agent;
   plan.results.resize(M_);

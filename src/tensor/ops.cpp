@@ -241,7 +241,9 @@ void gemm_micro_edge(const float* pa, const float* bp, float* pc, std::size_t k,
 /// The pack buffer comes from the per-thread arena: steady-state calls do
 /// zero heap allocations (the old std::vector alloc'd k*n floats per call).
 /// Pooled calls pack every panel up front — pool workers write disjoint
-/// panel ranges of it — and then sweep row blocks across all panels. Serial
+/// panel ranges of it — and then sweep row blocks across all panels: one
+/// panel at a time would cost two pool dispatches per panel, and measured
+/// 10-44% slower on the pooled bench_kernels rows at n >= 128. Serial
 /// calls pack and consume one panel at a time, so their scratch is k*W
 /// floats rather than k*n: every pool thread of a search keeps its arena at
 /// its high-water mark, and a Dense layer's k*n weight panel would otherwise

@@ -283,9 +283,12 @@ TEST_F(KernelDiff, ElementwiseOpsMatchSerialBitwise) {
   const Tensor y0 = random_tensor({n}, rng_);
 
   Tensor want_axpy = y0;
-  ncnas::tensor::axpy(0.37f, x, want_axpy);  // default config: serial
   Tensor want_scale = y0;
-  ncnas::tensor::scale_inplace(want_scale, -1.72f);
+  {
+    KernelConfigGuard reference(KernelConfig::reference());
+    ncnas::tensor::axpy(0.37f, x, want_axpy);
+    ncnas::tensor::scale_inplace(want_scale, -1.72f);
+  }
 
   for (const TierMode& tm : tier_sweep()) {
     KernelConfigGuard guard(test_config(tm.threads, tm.simd));
@@ -306,9 +309,12 @@ TEST_F(KernelDiff, RowwiseOpsMatchSerialBitwise) {
   const Tensor colsum0 = random_tensor({n}, rng_);
 
   Tensor want_bias = y0;
-  ncnas::tensor::add_row_bias(want_bias, bias);
   Tensor want_colsum = colsum0;
-  ncnas::tensor::accumulate_col_sums(g, want_colsum);
+  {
+    KernelConfigGuard reference(KernelConfig::reference());
+    ncnas::tensor::add_row_bias(want_bias, bias);
+    ncnas::tensor::accumulate_col_sums(g, want_colsum);
+  }
 
   for (const TierMode& tm : tier_sweep()) {
     KernelConfigGuard guard(test_config(tm.threads, tm.simd));
