@@ -33,7 +33,9 @@ class ThreadPool;
 /// FMA contraction available (see simd_available()): the scalar kernels then
 /// compile to the exact per-element fused-multiply-add chains the SIMD
 /// kernels issue explicitly, so both tiers produce identical bytes. In any
-/// other build the tier silently resolves to the blocked kernels.
+/// other build the tier silently resolves to the blocked kernels. The same
+/// policy gates the tanh/sigmoid libm mirrors (ops.hpp), which in addition
+/// need their one-time probe against the host libm to pass.
 enum class SimdMode : int {
   kAuto = 0,  ///< Use the SIMD tier whenever it is available (the default).
   kOff = 1,   ///< Never use SIMD micro-kernels, even when available.

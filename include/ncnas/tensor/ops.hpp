@@ -35,7 +35,9 @@
 // threads would change the addition tree and break bit-identity.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "ncnas/tensor/tensor.hpp"
 
@@ -89,6 +91,39 @@ void add_row_bias(Tensor& y, const Tensor& bias);
 
 /// Accumulates column sums of `g`(m,n) into `out`(n): out += sum_rows(g).
 void accumulate_col_sums(const Tensor& g, Tensor& out);
+
+/// y[i] = std::tanh(y[i]), bit for bit, at every kernel tier. On the SIMD
+/// tier this runs a vector mirror of the host libm's tanhf when the mirror
+/// is engaged (see libm_mirror_engaged); otherwise the std::tanh loop runs.
+void tanh_inplace(Tensor& y);
+void tanh_inplace(float* y, std::size_t n);
+
+/// y[i] = 1 / (1 + std::exp(-y[i])), bit for bit, at every kernel tier —
+/// the logistic sigmoid, with the same libm mirror rule as tanh_inplace.
+void sigmoid_inplace(Tensor& y);
+void sigmoid_inplace(float* y, std::size_t n);
+
+/// The pointwise functions that have a SIMD libm mirror.
+enum class LibmFn { kTanh, kSigmoid };
+
+/// True when tanh_inplace / sigmoid_inplace run the SIMD mirror of `fn` under
+/// the installed KernelConfig: the config is simd_active(), this build and
+/// CPU have a mirror (AVX2+FMA on x86-64; none on NEON), and a one-time
+/// probe found it bit-identical to the host's std::tanh / std::exp. Any
+/// other libm (non-glibc, a correctly rounded tanhf, ...) keeps the loops.
+[[nodiscard]] bool libm_mirror_engaged(LibmFn fn);
+
+namespace detail {
+/// Runs the raw SIMD mirror of `fn` in place over y[0, n), ignoring the
+/// KernelConfig and the probe. Returns false, leaving y untouched, when this
+/// build or CPU has no mirror. For tests that check the mirror itself.
+bool run_libm_mirror(LibmFn fn, float* y, std::size_t n);
+
+/// |x| bit patterns at which a mirror switches branch (tanhf and its expm1f
+/// cut-offs and reduction steps, expf's overflow/underflow limits). Tests
+/// and the engagement probe check the inputs around each one.
+[[nodiscard]] std::vector<std::uint32_t> libm_branch_points();
+}  // namespace detail
 
 /// Sum of all elements.
 [[nodiscard]] float sum(const Tensor& t);

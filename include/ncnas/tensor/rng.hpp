@@ -6,6 +6,7 @@
 // exactly as in the paper ("agent-specific random weight initialization").
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -30,11 +31,22 @@ class Rng {
 
   void reseed(std::uint64_t seed);
 
-  /// Uniform 64-bit integer.
-  std::uint64_t next_u64();
+  /// Uniform 64-bit integer. Inline: dropout masks and weight init draw
+  /// once per element.
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
 
-  /// Uniform in [0, 1).
-  double uniform();
+  /// Uniform in [0, 1): the 53 high bits as a double.
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }

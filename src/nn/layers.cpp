@@ -52,6 +52,8 @@ void apply_act_inplace(Act a, Tensor& y) {
   // Pointwise activations run through parallel_elems / parallel_rows: each
   // element (or row, for softmax) has one writer and no cross-chunk data
   // flow, so the bytes are the serial loop's bytes at any thread count.
+  // tanh and sigmoid go through the tensor kernels, which keep those bytes
+  // on their SIMD libm mirrors too.
   float* py = y.data();
   switch (a) {
     case Act::kLinear:
@@ -62,14 +64,10 @@ void apply_act_inplace(Act a, Tensor& y) {
       });
       break;
     case Act::kTanh:
-      tensor::parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) py[i] = std::tanh(py[i]);
-      });
+      tensor::tanh_inplace(y);
       break;
     case Act::kSigmoid:
-      tensor::parallel_elems(y.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) py[i] = 1.0f / (1.0f + std::exp(-py[i]));
-      });
+      tensor::sigmoid_inplace(y);
       break;
     case Act::kSoftmax: {
       if (y.rank() != 2) throw std::invalid_argument("softmax: expects rank-2 logits");
@@ -105,9 +103,8 @@ void act_backward_inplace(Act a, Tensor& g, const Tensor& y) {
       break;
     case Act::kRelu:
       tensor::parallel_elems(g.size(), [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          if (py[i] <= 0.0f) pg[i] = 0.0f;
-        }
+        // A select, not a branch, so the loop vectorizes; same bits.
+        for (std::size_t i = b; i < e; ++i) pg[i] = py[i] <= 0.0f ? 0.0f : pg[i];
       });
       break;
     case Act::kTanh:

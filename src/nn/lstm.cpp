@@ -12,7 +12,18 @@ using tensor::Tensor;
 
 namespace {
 
-float sigmoidf(float v) { return 1.0f / (1.0f + std::exp(-v)); }
+/// Applies the gate nonlinearities in place to pre-activations z [batch,
+/// 4H] (gate order i, f, g, o): sigmoid on i, f and o, tanh on g, as whole
+/// slices so the tensor kernels can vectorize them. Same bytes as calling
+/// 1 / (1 + std::exp(-v)) and std::tanh per element.
+void activate_gates(Tensor& z, std::size_t batch, std::size_t H) {
+  for (std::size_t r = 0; r < batch; ++r) {
+    float* zr = z.data() + r * 4 * H;
+    tensor::sigmoid_inplace(zr, 2 * H);
+    tensor::tanh_inplace(zr + 2 * H, H);
+    tensor::sigmoid_inplace(zr + 3 * H, H);
+  }
+}
 
 }  // namespace
 
@@ -65,33 +76,33 @@ LstmState LstmCell::step(const Tensor& x, const LstmState& prev) {
   cache.g = Tensor({batch, hidden_dim_});
   cache.o = Tensor({batch, hidden_dim_});
   cache.c_new = Tensor({batch, hidden_dim_});
-  cache.tanh_c = Tensor({batch, hidden_dim_});
 
   LstmState next{Tensor({batch, hidden_dim_}), Tensor({batch, hidden_dim_})};
   const std::size_t H = hidden_dim_;
+  activate_gates(z, batch, H);
   // Row-parallel: every (r, j) cell is written by exactly one chunk and its
   // value depends only on that cell's inputs, so bytes match the serial loop.
   tensor::parallel_rows(batch, 4 * H, [&](std::size_t rb, std::size_t re) {
     for (std::size_t r = rb; r < re; ++r) {
       const float* zr = z.data() + r * 4 * H;
       for (std::size_t j = 0; j < H; ++j) {
-        const float iv = sigmoidf(zr[j]);
-        const float fv = sigmoidf(zr[H + j]);
-        const float gv = std::tanh(zr[2 * H + j]);
-        const float ov = sigmoidf(zr[3 * H + j]);
+        const float iv = zr[j];
+        const float fv = zr[H + j];
+        const float gv = zr[2 * H + j];
+        const float ov = zr[3 * H + j];
         const float cv = fv * prev.c(r, j) + iv * gv;
-        const float tc = std::tanh(cv);
         cache.i(r, j) = iv;
         cache.f(r, j) = fv;
         cache.g(r, j) = gv;
         cache.o(r, j) = ov;
         cache.c_new(r, j) = cv;
-        cache.tanh_c(r, j) = tc;
         next.c(r, j) = cv;
-        next.h(r, j) = ov * tc;
       }
     }
   });
+  cache.tanh_c = cache.c_new;
+  tensor::tanh_inplace(cache.tanh_c);
+  for (std::size_t i = 0; i < next.h.size(); ++i) next.h[i] = cache.o[i] * cache.tanh_c[i];
   cache_.push_back(std::move(cache));
   return next;
 }
@@ -102,20 +113,27 @@ LstmState LstmCell::step_nograd(const Tensor& x, const LstmState& prev) const {
   gates(x, prev, z);
   LstmState next{Tensor({batch, hidden_dim_}), Tensor({batch, hidden_dim_})};
   const std::size_t H = hidden_dim_;
+  activate_gates(z, batch, H);
   tensor::parallel_rows(batch, 4 * H, [&](std::size_t rb, std::size_t re) {
     for (std::size_t r = rb; r < re; ++r) {
       const float* zr = z.data() + r * 4 * H;
       for (std::size_t j = 0; j < H; ++j) {
-        const float iv = sigmoidf(zr[j]);
-        const float fv = sigmoidf(zr[H + j]);
-        const float gv = std::tanh(zr[2 * H + j]);
-        const float ov = sigmoidf(zr[3 * H + j]);
+        const float iv = zr[j];
+        const float fv = zr[H + j];
+        const float gv = zr[2 * H + j];
         const float cv = fv * prev.c(r, j) + iv * gv;
         next.c(r, j) = cv;
-        next.h(r, j) = ov * std::tanh(cv);
       }
     }
   });
+  // h = o * tanh(c): tanh over the whole state, then the output gate.
+  next.h = next.c;
+  tensor::tanh_inplace(next.h);
+  for (std::size_t r = 0; r < batch; ++r) {
+    const float* o = z.data() + r * 4 * H + 3 * H;
+    float* h = next.h.data() + r * H;
+    for (std::size_t j = 0; j < H; ++j) h[j] = o[j] * h[j];
+  }
   return next;
 }
 

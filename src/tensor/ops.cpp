@@ -1,6 +1,8 @@
 #include "ncnas/tensor/ops.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -397,6 +399,77 @@ double gemm_bytes(const GemmDims& d) {
                 static_cast<double>(d.m) * static_cast<double>(d.n));
 }
 
+// --- libm mirrors -------------------------------------------------------------
+//
+// tanh_inplace / sigmoid_inplace have one contract at every tier: the bytes
+// of the scalar std::tanh / std::exp loops. The SIMD mirrors reproduce one
+// libm's algorithms exactly, so before a mirror may run, a one-time probe
+// compares it against the host's std::tanh / std::exp on a few thousand
+// inputs: a strided sweep of the bit patterns plus the neighbourhood of every
+// branch point. A host whose libm differs anywhere there keeps the loops.
+
+using RangeKernel = void (*)(float*, std::size_t, std::size_t);
+
+RangeKernel raw_mirror(LibmFn fn) {
+  const simd::KernelTable* tbl = simd::active_table();
+  if (tbl == nullptr) return nullptr;
+  return fn == LibmFn::kTanh ? tbl->tanh_range : tbl->sigmoid_range;
+}
+
+/// The scalar definition of both functions: the reference loops, and what
+/// the probe holds a mirror to.
+float libm_scalar(LibmFn fn, float v) {
+  return fn == LibmFn::kTanh ? std::tanh(v) : 1.0f / (1.0f + std::exp(-v));
+}
+
+bool probe_mirror(LibmFn fn) {
+  const RangeKernel mirror = raw_mirror(fn);
+  if (mirror == nullptr) return false;
+  constexpr std::uint32_t kSweep = 4096;
+  constexpr std::uint32_t kUlps = 8;
+  std::vector<float> in;
+  for (std::uint32_t i = 0; i < kSweep; ++i) in.push_back(std::bit_cast<float>(i * 0x00100001u));
+  for (const std::uint32_t b : detail::libm_branch_points()) {
+    for (std::uint32_t u = b - kUlps; u != b + kUlps + 1; ++u) {
+      in.push_back(std::bit_cast<float>(u));
+      in.push_back(std::bit_cast<float>(u | 0x80000000u));
+    }
+  }
+  std::vector<float> got = in;
+  mirror(got.data(), 0, got.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(libm_scalar(fn, in[i]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool mirror_matches_host(LibmFn fn) {
+  static const bool tanh_ok = probe_mirror(LibmFn::kTanh);
+  static const bool sigmoid_ok = probe_mirror(LibmFn::kSigmoid);
+  return fn == LibmFn::kTanh ? tanh_ok : sigmoid_ok;
+}
+
+/// The mirror `cfg` runs for `fn`, or nullptr for the scalar loop.
+RangeKernel libm_kernel(const KernelConfig& cfg, LibmFn fn) {
+  if (simd_table(cfg) == nullptr) return nullptr;
+  const RangeKernel mirror = raw_mirror(fn);
+  return mirror != nullptr && mirror_matches_host(fn) ? mirror : nullptr;
+}
+
+void apply_libm(LibmFn fn, float* y, std::size_t n) {
+  const RangeKernel mirror = libm_kernel(kernel_config(), fn);
+  parallel_elems(n, [&](std::size_t b, std::size_t e) {
+    if (mirror != nullptr) {
+      mirror(y, b, e);
+    } else {
+      for (std::size_t i = b; i < e; ++i) y[i] = libm_scalar(fn, y[i]);
+    }
+  });
+}
+
 }  // namespace
 
 GemmPath planned_gemm_path(std::size_t m, std::size_t k, std::size_t n) {
@@ -576,6 +649,41 @@ void accumulate_col_sums(const Tensor& g, Tensor& out) {
       }
     }
   });
+}
+
+void tanh_inplace(Tensor& y) { apply_libm(LibmFn::kTanh, y.data(), y.size()); }
+void tanh_inplace(float* y, std::size_t n) { apply_libm(LibmFn::kTanh, y, n); }
+void sigmoid_inplace(Tensor& y) { apply_libm(LibmFn::kSigmoid, y.data(), y.size()); }
+void sigmoid_inplace(float* y, std::size_t n) { apply_libm(LibmFn::kSigmoid, y, n); }
+
+bool libm_mirror_engaged(LibmFn fn) { return libm_kernel(kernel_config(), fn) != nullptr; }
+
+bool detail::run_libm_mirror(LibmFn fn, float* y, std::size_t n) {
+  const RangeKernel mirror = raw_mirror(fn);
+  if (mirror == nullptr) return false;
+  mirror(y, 0, n);
+  return true;
+}
+
+std::vector<std::uint32_t> detail::libm_branch_points() {
+  std::vector<std::uint32_t> points = {
+      // tanhf: tiny cut-off, |x| = 1 (expm1f(2|x|) vs expm1f(-2|x|)), 22, inf.
+      0x24000000u, 0x3f800000u, 0x41b00000u, 0x7f800000u,
+      // expm1f's cut-offs on |a| = 2|x|, as |x|: 2^-25, ln2/2, 1.5 ln2, 27 ln2.
+      0x32800000u, 0x3e317218u, 0x3f051592u, 0x4115b844u,
+      // expf on -x: |x| = 88 leaves the main path; log(2^128), log(2^-149),
+      // log(2^-150); and the onset of subnormal results.
+      0x42b00000u, 0x42b17217u, 0x42ce8ecfu, 0x42cff1b4u, 0x42aeac50u};
+  // expm1f's reduction multiple k steps where invln2*a +- 0.5 crosses an
+  // integer: a = (k - 0.5) ln2 for the positive arguments (|x| >= 1, k up to
+  // 63 below |x| = 22, crossing the k = 22/23 and 56/57 reconstruction
+  // switches) and a = -2.5 ln2 for the negative ones.
+  const float ln2 = 0.693147182f;
+  for (int k = 4; k <= 63; ++k) {
+    points.push_back(std::bit_cast<std::uint32_t>((static_cast<float>(k) - 0.5f) * ln2 * 0.5f));
+  }
+  points.push_back(std::bit_cast<std::uint32_t>(1.25f * ln2));
+  return points;
 }
 
 float sum(const Tensor& t) {

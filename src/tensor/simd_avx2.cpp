@@ -151,6 +151,7 @@ void col_sum_cols(const float* g, float* out, std::size_t m, std::size_t n, std:
 const KernelTable kAvx2Table = {
     "avx2",     gemm_panel, gemm_tn_block, tn_full_cols,
     axpy_range, scale_range, add_bias_rows, col_sum_cols,
+    tanh_range_avx2, sigmoid_range_avx2,
 };
 
 }  // namespace

@@ -50,7 +50,18 @@ struct KernelTable {
   /// out[j] += sum_i g[i][j] for columns [j0, j1), rows ascending (g is m x n).
   void (*col_sum_cols)(const float* g, float* out, std::size_t m, std::size_t n, std::size_t j0,
                        std::size_t j1);
+
+  /// Libm mirrors, in place over [b, e): y[i] = std::tanh(y[i]) and
+  /// y[i] = 1 / (1 + std::exp(-y[i])), reproducing one specific libm bit for
+  /// bit (see simd_libm_avx2.cpp). nullptr where no mirror exists; callers
+  /// must also check that the host libm is the mirrored one (ops.cpp probes).
+  void (*tanh_range)(float* y, std::size_t b, std::size_t e);
+  void (*sigmoid_range)(float* y, std::size_t b, std::size_t e);
 };
+
+/// The AVX2 libm mirrors (simd_libm_avx2.cpp, x86-64 builds only).
+void tanh_range_avx2(float* y, std::size_t b, std::size_t e);
+void sigmoid_range_avx2(float* y, std::size_t b, std::size_t e);
 
 /// The AVX2+FMA table, or nullptr when not built for x86-64 or the CPU lacks
 /// AVX2/FMA (checked once at runtime).

@@ -131,6 +131,7 @@ void col_sum_cols(const float* g, float* out, std::size_t m, std::size_t n, std:
 const KernelTable kNeonTable = {
     "neon",     gemm_panel, gemm_tn_block, tn_full_cols,
     axpy_range, scale_range, add_bias_rows, col_sum_cols,
+    nullptr,    nullptr,  // no libm mirrors: NEON hosts keep the scalar loops
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace ncnas::tensor {
 
@@ -72,7 +73,18 @@ void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std:
       for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
     }));
   }
-  for (auto& f : futures) f.get();  // rethrows the first failure
+  // Every chunk borrows this frame (`next`, `fn`), so leave only after all
+  // of them have finished, even when one throws; then rethrow the first
+  // failure in chunk order.
+  std::exception_ptr first_failure;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_failure) first_failure = std::current_exception();
+    }
+  }
+  if (first_failure) std::rethrow_exception(first_failure);
 }
 
 }  // namespace ncnas::tensor

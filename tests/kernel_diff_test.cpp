@@ -282,12 +282,26 @@ TEST_F(KernelDiff, ElementwiseOpsMatchSerialBitwise) {
   const Tensor x = random_tensor({n}, rng_);
   const Tensor y0 = random_tensor({n}, rng_);
 
+  // Activation inputs spread over every tanh/sigmoid branch: tiny, unit,
+  // saturated and exp-overflowing magnitudes, plus the non-finite values.
+  Tensor act_in = x;
+  for (std::size_t i = 0; i < n; ++i) act_in[i] *= std::ldexp(1.0f, static_cast<int>(i % 40) - 32);
+  const float specials[] = {0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(), 22.0f, -1.0f, 100.0f,
+                            -100.0f, 1e-30f};
+  for (std::size_t i = 0; i < std::size(specials); ++i) act_in[i] = specials[i];
+
   Tensor want_axpy = y0;
   Tensor want_scale = y0;
+  Tensor want_tanh = act_in;
+  Tensor want_sigmoid = act_in;
   {
     KernelConfigGuard reference(KernelConfig::reference());
     ncnas::tensor::axpy(0.37f, x, want_axpy);
     ncnas::tensor::scale_inplace(want_scale, -1.72f);
+    ncnas::tensor::tanh_inplace(want_tanh);
+    ncnas::tensor::sigmoid_inplace(want_sigmoid);
   }
 
   for (const TierMode& tm : tier_sweep()) {
@@ -298,6 +312,12 @@ TEST_F(KernelDiff, ElementwiseOpsMatchSerialBitwise) {
     Tensor got_scale = y0;
     ncnas::tensor::scale_inplace(got_scale, -1.72f);
     EXPECT_TRUE(bytes_equal(want_scale, got_scale)) << "scale tier=" << tm.label;
+    Tensor got_tanh = act_in;
+    ncnas::tensor::tanh_inplace(got_tanh);
+    EXPECT_TRUE(bytes_equal(want_tanh, got_tanh)) << "tanh tier=" << tm.label;
+    Tensor got_sigmoid = act_in;
+    ncnas::tensor::sigmoid_inplace(got_sigmoid);
+    EXPECT_TRUE(bytes_equal(want_sigmoid, got_sigmoid)) << "sigmoid tier=" << tm.label;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -287,6 +290,28 @@ TEST(ThreadPool, PropagatesExceptions) {
         if (i == 7) throw std::runtime_error("boom");
       }),
       std::runtime_error);
+}
+
+TEST(ThreadPool, ThrowingParallelForWaitsForEveryChunk) {
+  // parallel_for's chunks share the caller's stack frame (the next-index
+  // counter and fn), so it may not return, even by throwing, while any chunk
+  // still runs. Repeated because the window is a race.
+  ThreadPool pool(4);
+  std::atomic<int> running{0};
+  for (int rep = 0; rep < 300; ++rep) {
+    EXPECT_THROW(parallel_for(pool, 64,
+                              [&running](std::size_t i) {
+                                running.fetch_add(1);
+                                if (i == 3) {
+                                  running.fetch_sub(1);
+                                  throw std::runtime_error("boom");
+                                }
+                                std::this_thread::sleep_for(std::chrono::microseconds(20));
+                                running.fetch_sub(1);
+                              }),
+                 std::runtime_error);
+    ASSERT_EQ(running.load(), 0) << "a chunk outlived parallel_for in rep " << rep;
+  }
 }
 
 TEST(ThreadPool, WaitIdleBlocksUntilDone) {
