@@ -115,23 +115,31 @@ class ByteReader {
   [[nodiscard]] float f32() { return std::bit_cast<float>(u32()); }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
   [[nodiscard]] std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
+    const std::uint64_t n = count(1);
     std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
     pos_ += n;
     return s;
   }
   [[nodiscard]] std::vector<float> floats() {
-    const std::uint64_t n = u64();
-    std::vector<float> v(n);
+    std::vector<float> v(count(4));
     for (auto& x : v) x = f32();
     return v;
   }
   [[nodiscard]] std::vector<double> doubles() {
-    const std::uint64_t n = u64();
-    std::vector<double> v(n);
+    std::vector<double> v(count(8));
     for (auto& x : v) x = f64();
     return v;
+  }
+  /// Reads a u64 element-count prefix and checks it against the bytes left,
+  /// given that each element encodes to at least `min_bytes` bytes — so a
+  /// hostile prefix throws here instead of sizing an allocation.
+  [[nodiscard]] std::uint64_t count(std::size_t min_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_bytes) {
+      throw SnapshotError("snapshot: length prefix " + std::to_string(n) +
+                          " exceeds the remaining payload");
+    }
+    return n;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
@@ -142,7 +150,7 @@ class ByteReader {
 
  private:
   void need(std::uint64_t n) const {
-    if (pos_ + n > data_.size()) throw SnapshotError("snapshot: truncated payload");
+    if (n > data_.size() - pos_) throw SnapshotError("snapshot: truncated payload");
   }
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

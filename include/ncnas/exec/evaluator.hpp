@@ -69,6 +69,17 @@ struct EvalResult {
   std::uint32_t rung = 0;
 };
 
+/// A candidate priced from its shape before any training: the built model
+/// (weights still lazy, so nothing is allocated for them) and everything the
+/// virtual clock needs — parameter count, simulated duration, and the
+/// timeout verdict. A timed-out quote is already final: it carries the floor
+/// reward and needs no training.
+struct Quote {
+  nn::Graph model;
+  EvalResult result;      ///< params, sim_duration, timed_out (+ floor reward)
+  std::uint64_t seed = 0;  ///< the agent seed the model was built from
+};
+
 class Evaluator {
  public:
   virtual ~Evaluator() = default;
@@ -115,8 +126,19 @@ class TrainingEvaluator final : public Evaluator {
   /// thread-safe, so pool-parallel evaluations share one sink.
   void set_telemetry(obs::Telemetry* telemetry);
 
+  /// train(quote(arch, seed)).
   [[nodiscard]] EvalResult evaluate(const space::ArchEncoding& arch,
                                     std::uint64_t seed) const override;
+
+  /// Builds the model and prices it by shape inference: the cost model's
+  /// duration for planned_param_count() and its timeout rule. Allocates no
+  /// weights, so the driver can quote every candidate on its event loop.
+  [[nodiscard]] Quote quote(const space::ArchEncoding& arch, std::uint64_t seed) const;
+
+  /// Trains and validates a quoted candidate and returns its final result
+  /// (the quote's own result when it timed out). Takes the quote by value:
+  /// the trained model dies with this call, on the calling thread.
+  [[nodiscard]] EvalResult train(Quote quote) const;
 
   /// eval_context_key(dataset, fidelity, cost_model) — the full recipe that
   /// determines a reward besides (arch, seed).

@@ -12,7 +12,10 @@
 // Agents that start a cycle at the same virtual time (the bootstrap, every
 // A2C round) hand their misses to the host pool as one batch; results are
 // identical to cycling them one at a time (DESIGN.md, "Plan → evaluate →
-// commit").
+// commit"). The virtual clock advances on each miss's shape-inferred quote,
+// so real trainings run ahead of the event loop and a reward is awaited only
+// where it is read (DESIGN.md, "Quote at plan time, await the reward at
+// harvest").
 //
 // The run ends at the simulated wall-time limit or earlier when every agent
 // keeps regenerating cached architectures (the paper's convergence stop on

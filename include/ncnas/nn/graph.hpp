@@ -54,6 +54,11 @@ class Graph {
   /// forward pass (or train step) for a final count.
   [[nodiscard]] std::size_t param_count() const;
 
+  /// The param_count() this graph will report after its first forward,
+  /// from shape inference alone: no weights are materialized. Shared weight
+  /// slots (mirrored layers) count once. Throws like output_shape().
+  [[nodiscard]] std::size_t planned_param_count() const;
+
   void zero_grad();
 
   /// Multi-line human-readable summary.
@@ -68,6 +73,11 @@ class Graph {
     tensor::Tensor grad;       // accumulated during backward
     int pending_consumers = 0; // countdown used by backward()
   };
+
+  /// Per-node per-sample shapes in topological order; `visit(i, in)` sees
+  /// each node's input shapes first.
+  template <typename Visit>
+  std::vector<FeatShape> infer_shapes(Visit&& visit) const;
 
   std::vector<Node> nodes_;
   std::vector<std::size_t> input_ids_;

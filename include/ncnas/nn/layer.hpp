@@ -22,6 +22,14 @@ namespace ncnas::nn {
 /// vectors; rank-2 [length, channels] for 1-D feature maps.
 using FeatShape = tensor::Shape;
 
+/// Trainable scalars a layer will hold for given per-sample inputs, and the
+/// storage they live in. Mirrored layers report the same `slot`, so a graph
+/// counts shared weights once.
+struct PlannedParams {
+  const void* slot = nullptr;
+  std::size_t count = 0;
+};
+
 /// Mutable state threaded through forward passes.
 struct ForwardCtx {
   bool training = false;          ///< enables dropout masks
@@ -49,6 +57,13 @@ class Layer {
 
   /// Trainable parameters (possibly shared with other layers). Default: none.
   [[nodiscard]] virtual std::vector<ParamPtr> parameters() const { return {}; }
+
+  /// What parameters() will hold once a forward pass has seen per-sample
+  /// inputs `in` — from shapes alone, so lazy weights stay unallocated.
+  /// Default: none.
+  [[nodiscard]] virtual PlannedParams planned_params(std::span<const FeatShape> /*in*/) const {
+    return {};
+  }
 
   /// One-line human-readable description for model summaries.
   [[nodiscard]] virtual std::string describe() const { return kind(); }

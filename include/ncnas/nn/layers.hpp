@@ -82,6 +82,7 @@ class Dense final : public Layer {
                                        ForwardCtx& ctx) override;
   [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
   [[nodiscard]] std::vector<ParamPtr> parameters() const override;
+  [[nodiscard]] PlannedParams planned_params(std::span<const FeatShape> in) const override;
   [[nodiscard]] std::string describe() const override;
 
  private:
@@ -153,6 +154,7 @@ class Conv1D final : public Layer {
                                        ForwardCtx& ctx) override;
   [[nodiscard]] std::vector<tensor::Tensor> backward(const tensor::Tensor& grad_out) override;
   [[nodiscard]] std::vector<ParamPtr> parameters() const override;
+  [[nodiscard]] PlannedParams planned_params(std::span<const FeatShape> in) const override;
   [[nodiscard]] std::string describe() const override;
 
  private:

@@ -52,27 +52,19 @@ nn::Graph TrainingEvaluator::build(const space::ArchEncoding& arch, std::uint64_
 
 EvalResult TrainingEvaluator::evaluate(const space::ArchEncoding& arch,
                                        std::uint64_t seed) const {
-  NCNAS_PROF_SCOPE("eval");
-  const std::string key = space::arch_key(arch);
-  nn::Graph model = build(arch, seed);
+  return train(quote(arch, seed));
+}
 
-  // Materialize lazily-initialized weights with a single-row forward so the
-  // trainable-parameter count (which drives the cost model) is exact.
-  {
-    NCNAS_PROF_SCOPE("eval/build");
-    std::vector<tensor::Tensor> probe;
-    probe.reserve(dataset_->input_count());
-    for (const tensor::Tensor& x : dataset_->x_train) probe.push_back(nn::slice_rows(x, 0, 1));
-    nn::ForwardCtx ctx{.training = false, .rng = nullptr};
-    (void)model.forward(probe, ctx);
-  }
-
-  EvalResult result;
-  result.params = model.param_count();
+Quote TrainingEvaluator::quote(const space::ArchEncoding& arch, std::uint64_t seed) const {
+  NCNAS_PROF_SCOPE("eval/quote");
+  Quote q{.model = build(arch, seed), .result = {}, .seed = seed};
+  EvalResult& result = q.result;
+  result.params = q.model.planned_param_count();
 
   const auto samples = static_cast<std::size_t>(std::max(
       1.0, fidelity_.subset_fraction * static_cast<double>(dataset_->train_rows())));
-  result.sim_duration = cost_.duration(result.params, samples, fidelity_.epochs, key);
+  result.sim_duration =
+      cost_.duration(result.params, samples, fidelity_.epochs, space::arch_key(arch));
   if (cost_.times_out(result.sim_duration)) {
     // Balsam kills the job at the timeout: the worker was occupied for the
     // full timeout window and the agent sees the floor reward.
@@ -80,8 +72,16 @@ EvalResult TrainingEvaluator::evaluate(const space::ArchEncoding& arch,
     result.timed_out = true;
     result.reward = reward_floor();
     if (training_timeouts_ != nullptr) training_timeouts_->inc();
-    return result;
   }
+  return q;
+}
+
+EvalResult TrainingEvaluator::train(Quote quote) const {
+  NCNAS_PROF_SCOPE("eval");
+  EvalResult result = quote.result;
+  if (result.timed_out) return result;
+  nn::Graph& model = quote.model;
+  const std::uint64_t seed = quote.seed;
 
   std::optional<obs::Stopwatch> train_timer;
   if (train_wall_ms_ != nullptr) train_timer.emplace();

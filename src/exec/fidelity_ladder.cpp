@@ -193,13 +193,8 @@ void FidelityLadder::run_rung(std::vector<Candidate>& cands, std::size_t rung,
         dims.push_back(dataset_->input_dim(d));
       }
       c.model = space::build_model(*space_, *c.arch, dims, head_for(*dataset_), rng);
-      // One-row probe materializes lazy weights so param_count is exact.
-      std::vector<tensor::Tensor> probe;
-      probe.reserve(dataset_->input_count());
-      for (const tensor::Tensor& x : dataset_->x_train) probe.push_back(nn::slice_rows(x, 0, 1));
-      nn::ForwardCtx ctx{.training = false, .rng = nullptr};
-      (void)c.model->forward(probe, ctx);
-      c.res.params = c.model->param_count();
+      // Priced by shape: a candidate that times out never allocates weights.
+      c.res.params = c.model->planned_param_count();
     }
 
     const auto samples = static_cast<std::size_t>(std::max(

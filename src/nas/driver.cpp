@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <future>
 #include <limits>
 #include <map>
 #include <queue>
 #include <span>
 #include <stdexcept>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "ncnas/ckpt/snapshot.hpp"
@@ -60,6 +62,69 @@ std::vector<EvalRecord> SearchResult::top_k(std::size_t k) const {
 
 namespace {
 
+// A quoted miss's training on the host pool. The task owns the model (it
+// dies on the pool thread when train() returns) and writes only `result`;
+// the event loop reads that after the future resolves. Destruction waits
+// for the task, which borrows the run's evaluator: no exit from a search —
+// convergence stop, snapshot interrupt, exception — leaves one running.
+class PendingTraining {
+ public:
+  struct Job {
+    exec::Quote quote;
+    exec::EvalResult result;
+  };
+
+  PendingTraining() = default;
+  PendingTraining(const exec::TrainingEvaluator& evaluator, exec::Quote quote,
+                  tensor::ThreadPool& pool)
+      : job_(std::make_shared<Job>(Job{std::move(quote), {}})) {
+    done_ = pool.submit([&evaluator, job = job_] {
+      job->result = evaluator.train(std::move(job->quote));
+    });
+  }
+  PendingTraining(PendingTraining&&) noexcept = default;
+  ~PendingTraining() {
+    if (done_.valid()) done_.wait();
+  }
+
+  [[nodiscard]] bool pending() const noexcept { return done_.valid(); }
+  /// Blocks until the training ran; rethrows what it threw.
+  [[nodiscard]] exec::EvalResult get() {
+    done_.get();
+    return job_->result;
+  }
+
+ private:
+  std::shared_ptr<Job> job_;
+  std::future<void> done_;
+};
+
+struct AgentState;
+
+/// One agent's share of an open pool batch: what plan_cycle resolved from
+/// the caches and quoted for the misses, the trainings evaluate_plans sent
+/// to the pool, and what resolve() applies once their rewards are needed.
+struct CyclePlan {
+  AgentState* agent = nullptr;
+  /// Per batch position: plan-time cache hits at first, every position once
+  /// resolve() has run.
+  std::vector<std::optional<exec::EvalResult>> results;
+  std::vector<std::size_t> miss_index;   ///< batch position per unique miss
+  std::vector<std::string> miss_keys;    ///< arch key per unique miss
+  /// Unique miss per batch position (kNoMiss for plan-time hits); a position
+  /// other than its miss's miss_index is a within-batch duplicate.
+  std::vector<std::size_t> miss_of;
+  /// Per unique miss: its quote's result until resolve(), then the trained
+  /// one. Timed-out quotes are final from the start.
+  std::vector<exec::EvalResult> fresh;
+  std::vector<exec::Quote> quotes;            ///< per unique miss, until submitted
+  std::vector<PendingTraining> trainings;     ///< per unique miss (flat path)
+  std::vector<std::size_t> budget_units;  ///< per batch position
+  std::vector<exec::LadderRungStats> rung_stats;
+
+  static constexpr std::size_t kNoMiss = static_cast<std::size_t>(-1);
+};
+
 struct AgentState {
   std::size_t id = 0;
   std::optional<rl::Controller> controller;
@@ -74,6 +139,9 @@ struct AgentState {
   std::vector<rl::Rollout> rollouts;
   std::vector<space::ArchEncoding> archs;
   std::vector<EvalRecord> records;
+  /// The committed batch whose rewards are still training (records hold
+  /// placeholder rewards until resolve() fills them in).
+  std::optional<CyclePlan> inflight;
 
   std::size_t cached_streak = 0;
   bool stopped = false;
@@ -82,18 +150,6 @@ struct AgentState {
   std::vector<double> crash_at;      ///< per-worker planned death time (+inf = never)
   bool dead = false;                 ///< every worker lost; no further cycles
   std::uint64_t exchange_seq = 0;    ///< PS exchange counter for fault verdicts
-};
-
-/// One agent's share of an open pool batch: what plan_cycle resolved from
-/// the caches, and what evaluate_plans trained for the misses.
-struct CyclePlan {
-  AgentState* agent = nullptr;
-  std::vector<std::optional<exec::EvalResult>> results;  ///< per batch position
-  std::vector<std::size_t> miss_index;   ///< batch position per unique miss
-  std::vector<std::string> miss_keys;    ///< arch key per unique miss
-  std::vector<exec::EvalResult> fresh;   ///< trained result per unique miss
-  std::vector<std::size_t> budget_units;  ///< per batch position
-  std::vector<exec::LadderRungStats> rung_stats;
 };
 
 struct Completion {
@@ -179,8 +235,15 @@ void put_arch(ckpt::ByteWriter& w, const space::ArchEncoding& arch) {
   for (const auto v : arch) w.u16(static_cast<std::uint16_t>(v));
 }
 
+// Smallest encodings of the count-prefixed elements below: restore bounds
+// every count by the bytes left (ByteReader::count) before allocating.
+constexpr std::size_t kArchMinBytes = 8;  // an empty arch is its count alone
+constexpr std::size_t kRecordMinBytes = 52 + kArchMinBytes;
+constexpr std::size_t kEvalResultMinBytes = 35;
+constexpr std::size_t kVectorMinBytes = 8;  // floats()/doubles()/str(): the count
+
 space::ArchEncoding get_arch(ckpt::ByteReader& in) {
-  const std::uint64_t n = in.u64();
+  const std::uint64_t n = in.count(2);
   space::ArchEncoding arch(n);
   for (auto& v : arch) v = in.u16();
   return arch;
@@ -266,6 +329,14 @@ class SearchRun {
  public:
   SearchRun(const space::SearchSpace& space, const data::Dataset& dataset,
             SearchConfig config /* pre-normalized */, tensor::ThreadPool* pool);
+  // Outstanding trainings borrow evaluator_: wait for all of them before
+  // any member goes (a convergence stop or an exception can leave some in
+  // flight; a snapshot, and so ckpt::SearchInterrupted, awaits them first).
+  ~SearchRun() {
+    for (AgentState& agent : agents_) agent.inflight.reset();
+  }
+  SearchRun(const SearchRun&) = delete;
+  SearchRun& operator=(const SearchRun&) = delete;
 
   void bootstrap();
   void restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in);
@@ -281,6 +352,8 @@ class SearchRun {
   CyclePlan plan_cycle(AgentState& agent);
   void evaluate_plans(std::vector<CyclePlan>& plans);
   void commit_cycle(CyclePlan& plan, double t);
+  void resolve(CyclePlan& plan);
+  void resolve(AgentState& agent);
   void a2c_begin_round(double resume);
   void a2c_release_stuck(double now);
   void init_checkpointing(double from_t);
@@ -742,16 +815,24 @@ bool SearchRun::dispatch_faulty(AgentState& agent, std::vector<double>& worker_f
 
 // ---- agent cycles: plan, evaluate as one pool batch, commit -----------
 // A cycle samples M architectures, resolves them against the caches,
-// trains the misses, occupies the agent's workers and schedules the batch
-// completion. Every agent that starts at the same virtual time (an A2C
-// round, the bootstrap) is planned first, its misses are trained as one
-// pool batch, and the cycles are then committed in agent order. The flush
+// quotes and trains the misses, occupies the agent's workers and schedules
+// the batch completion. Every agent that starts at the same virtual time
+// (an A2C round, the bootstrap) is planned first, its misses go to the pool
+// as one batch, and the cycles are then committed in agent order. The flush
 // rule in start_cycles closes the open batch before planning an agent that
 // could observe its commits, so every cache lookup, insert, erase, RNG
 // draw, journal event and trace span happens on the same inputs and in the
-// same order as cycling the agents one at a time. Each phase has its own
-// profiler scope, opened once per agent cycle: driver/sample, driver/plan,
-// and driver/cycle around the commit.
+// same order as cycling the agents one at a time.
+//
+// A commit needs only each miss's quote (parameter count, simulated
+// duration, timeout), never its reward, so the event loop does not wait for
+// the trainings: they run on the pool while it moves on. resolve() awaits
+// them and applies the rewards, the agent-cache inserts and the within-batch
+// duplicate lookups at the first point that reads them — the agent's
+// harvest, a snapshot, or the commit itself when something there reads the
+// result. Each phase has its own profiler scope, opened once per agent
+// cycle: driver/sample, driver/plan (with eval/quote per miss), and
+// driver/cycle around the commit.
 
 // Stop checks, PS pull and architecture sampling. False = the agent stops.
 bool SearchRun::sample_cycle(AgentState& agent, double t) {
@@ -803,16 +884,17 @@ bool SearchRun::sample_cycle(AgentState& agent, double t) {
 }
 
 // Resolve against the agent's cache, then the process-wide shared cache,
-// and list the unique misses to train. Shared lookups run serially on the
-// driver's event loop (never from pool threads), and a shared hit also
-// primes the agent cache (flags cleared) so later regenerations stay
-// agent-local and are not double-counted as shared.
+// and list the unique misses to train; on the flat path, quote each one.
+// Shared lookups run serially on the driver's event loop (never from pool
+// threads), and a shared hit also primes the agent cache (flags cleared) so
+// later regenerations stay agent-local and are not double-counted as shared.
 CyclePlan SearchRun::plan_cycle(AgentState& agent) {
   NCNAS_PROF_SCOPE("driver/plan");
   CyclePlan plan;
   plan.agent = &agent;
   plan.results.resize(M_);
-  std::unordered_set<std::string> seen;  // unique misses so far
+  plan.miss_of.assign(M_, CyclePlan::kNoMiss);
+  std::unordered_map<std::string, std::size_t> seen;  // unique misses so far
   for (std::size_t m = 0; m < M_; ++m) {
     std::optional<exec::EvalResult>& r = plan.results[m];
     if (config_.use_cache) r = agent.cache->lookup(agent.archs[m]);
@@ -827,13 +909,22 @@ CyclePlan SearchRun::plan_cycle(AgentState& agent) {
     }
     if (!r) {
       std::string key = space::arch_key(agent.archs[m]);
-      if (seen.insert(key).second) {
+      const auto [it, first] = seen.try_emplace(key, plan.miss_index.size());
+      plan.miss_of[m] = it->second;
+      if (first) {
         plan.miss_index.push_back(m);
         plan.miss_keys.push_back(std::move(key));
       }
     }
   }
   plan.fresh.resize(plan.miss_index.size());
+  if (!ladder_) {
+    plan.quotes.reserve(plan.miss_index.size());
+    for (std::size_t i = 0; i < plan.miss_index.size(); ++i) {
+      plan.quotes.push_back(evaluator_.quote(agent.archs[plan.miss_index[i]], agent.eval_seed));
+      plan.fresh[i] = plan.quotes.back().result;
+    }
+  }
   // Budget units per batch position: 1 per flat training; with a ladder,
   // the number of rung trainings the candidate consumed (its rung-weighted
   // cost — what max_evaluations and serve eval-budget quotas meter).
@@ -841,10 +932,11 @@ CyclePlan SearchRun::plan_cycle(AgentState& agent) {
   return plan;
 }
 
-// Trains the misses of every planned cycle. Flat misses of all agents go to
-// the pool as one parallel_for; a ladder runs its successive-halving batch
-// per agent, in agent order (it consults and feeds the shared cache's rung
-// contexts as it climbs, so agent order is part of its contract).
+// Trains the misses of every planned cycle. Each flat miss whose quote did
+// not time out goes to the pool as its own task (inline without a pool); a
+// ladder runs its successive-halving batch per agent, in agent order (it
+// consults and feeds the shared cache's rung contexts as it climbs, so agent
+// order is part of its contract) and returns final results.
 void SearchRun::evaluate_plans(std::vector<CyclePlan>& plans) {
   if (ladder_) {
     for (CyclePlan& plan : plans) {
@@ -860,29 +952,66 @@ void SearchRun::evaluate_plans(std::vector<CyclePlan>& plans) {
     }
     return;
   }
-  std::vector<std::pair<CyclePlan*, std::size_t>> tasks;  // (cycle, miss)
   for (CyclePlan& plan : plans) {
-    for (std::size_t i = 0; i < plan.miss_index.size(); ++i) tasks.emplace_back(&plan, i);
-  }
-  const auto eval_one = [&](std::size_t k) {
-    CyclePlan& plan = *tasks[k].first;
-    const std::size_t i = tasks[k].second;
-    plan.fresh[i] = evaluator_.evaluate(plan.agent->archs[plan.miss_index[i]],
-                                        plan.agent->eval_seed);
-  };
-  if (pool_ != nullptr && tasks.size() > 1) {
-    tensor::parallel_for(*pool_, tasks.size(), eval_one);
-  } else {
-    for (std::size_t k = 0; k < tasks.size(); ++k) eval_one(k);
+    plan.trainings.reserve(plan.quotes.size());
+    for (std::size_t i = 0; i < plan.quotes.size(); ++i) {
+      exec::Quote& quote = plan.quotes[i];
+      if (pool_ != nullptr && !quote.result.timed_out) {
+        plan.trainings.emplace_back(evaluator_, std::move(quote), *pool_);
+        continue;
+      }
+      // A timed-out quote is already final; without a pool, train inline.
+      if (!quote.result.timed_out) plan.fresh[i] = evaluator_.train(std::move(quote));
+      plan.trainings.emplace_back();
+    }
+    plan.quotes.clear();
   }
 }
 
-// Cache inserts, worker occupancy, records, journal and trace, budget, and
-// the completion push for one evaluated cycle.
+// Awaits the plan's trainings, then applies what they produced in the order
+// a synchronous commit would: agent-cache and shared-cache inserts, the
+// within-batch duplicates' cache lookups, and the rewards of records already
+// committed from the quotes.
+void SearchRun::resolve(CyclePlan& plan) {
+  AgentState& agent = *plan.agent;
+  for (std::size_t i = 0; i < plan.trainings.size(); ++i) {
+    if (plan.trainings[i].pending()) plan.fresh[i] = plan.trainings[i].get();
+  }
+  plan.trainings.clear();
+  std::vector<std::optional<exec::EvalResult>>& results = plan.results;
+  for (std::size_t i = 0; i < plan.miss_index.size(); ++i) {
+    const std::size_t m = plan.miss_index[i];
+    agent.cache->insert(agent.archs[m], plan.fresh[i]);
+    if (shared_ != nullptr) {
+      shared_->insert(shared_ctx_, plan.miss_keys[i], config_.tenant_id, plan.fresh[i]);
+    }
+    results[m] = plan.fresh[i];  // first occurrence stays a real task
+  }
+  // Within-batch duplicates of a fresh miss read the cache result.
+  for (std::size_t m = 0; m < M_; ++m) {
+    if (!results[m]) results[m] = agent.cache->lookup(agent.archs[m]);
+  }
+  // Only the reward can differ from the quote a deferred commit used.
+  for (std::size_t m = 0; m < agent.records.size(); ++m) {
+    agent.records[m].reward = results[m]->reward;
+  }
+}
+
+void SearchRun::resolve(AgentState& agent) {
+  if (!agent.inflight) return;
+  resolve(*agent.inflight);
+  agent.inflight.reset();
+}
+
+// Worker occupancy, records, journal and trace, budget, and the completion
+// push for one evaluated cycle. Reads each miss's quote only — unless
+// something here reads results, in which case the plan is resolved first:
+// telemetry (the eval span carries the reward, eval_dispatched the training
+// wall time), a fault plan (retry exhaustion erases cache entries), or a
+// shared cache (other agents and tenants read its inserts).
 void SearchRun::commit_cycle(CyclePlan& plan, double t) {
   NCNAS_PROF_SCOPE("driver/cycle");
   AgentState& agent = *plan.agent;
-  std::vector<std::optional<exec::EvalResult>>& results = plan.results;
   // Rung accounting and journal events, emitted at batch dispatch time
   // (no deadline filter, like the fault counters): one ladder_rung event
   // per populated rung, reconciling 1:1 with the result counters.
@@ -909,25 +1038,24 @@ void SearchRun::commit_cycle(CyclePlan& plan, double t) {
       }
     }
   }
-  for (std::size_t i = 0; i < plan.miss_index.size(); ++i) {
-    const std::size_t m = plan.miss_index[i];
-    agent.cache->insert(agent.archs[m], plan.fresh[i]);
-    if (shared_ != nullptr) {
-      shared_->insert(shared_ctx_, plan.miss_keys[i], config_.tenant_id, plan.fresh[i]);
-    }
-    results[m] = plan.fresh[i];  // first occurrence stays a real task
-  }
-  // Within-batch duplicates of a fresh miss read the cache result.
-  for (std::size_t m = 0; m < M_; ++m) {
-    if (!results[m]) results[m] = agent.cache->lookup(agent.archs[m]);
-  }
+  const bool deferred = !inst_ && fx_ == nullptr && shared_ == nullptr;
+  if (!deferred) resolve(plan);
 
   // Worker occupancy: non-cached tasks dispatch onto the agent's W
   // dedicated nodes (earliest-free first); cached results cost nothing.
   std::vector<double> worker_free(W_, t);
   double batch_done = t;
   for (std::size_t m = 0; m < M_; ++m) {
-    const exec::EvalResult& r = *results[m];
+    exec::EvalResult r;
+    if (plan.results[m]) {
+      r = *plan.results[m];
+    } else {
+      // Deferred: the miss's quote, or — for a within-batch duplicate — the
+      // cache hit resolve() will look up for it.
+      const std::size_t i = plan.miss_of[m];
+      r = plan.fresh[i];
+      r.cache_hit = plan.miss_index[i] != m;
+    }
     EvalRecord rec;
     rec.reward = r.reward;
     rec.params = r.params;
@@ -1001,6 +1129,7 @@ void SearchRun::commit_cycle(CyclePlan& plan, double t) {
                         {"misses", static_cast<double>(plan.miss_index.size())}});
   }
   queue_.push({scheduled, seq_++, agent.id});
+  if (deferred) agent.inflight.emplace(std::move(plan));
 }
 
 // The one entry point for starting cycles: every agent of an A2C round or
@@ -1083,6 +1212,7 @@ bool SearchRun::process_completion(const Completion& done) {
   AgentState& agent = agents_[done.agent];
   const double t = done.time;
   last_completion_ = std::max(last_completion_, t);
+  resolve(agent);  // the rewards below are the first reads since the commit
 
   // Harvest the batch.
   bool all_cached = true;
@@ -1314,6 +1444,9 @@ void SearchRun::init_checkpointing(double from_t) {
 void SearchRun::maybe_checkpoint(double t) {
   if (!writer_ || t < next_due_) return;
   NCNAS_PROF_SCOPE("driver/checkpoint");
+  // The snapshot carries every in-flight batch's records and every agent
+  // cache, so no training may still be outstanding.
+  for (AgentState& agent : agents_) resolve(agent);
   // Count and journal the snapshot *before* serializing, so the snapshot
   // carries its own ordinal and its own journal event: the watermark then
   // covers everything up to and including this checkpoint, and a resumed
@@ -1508,7 +1641,7 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   a2c_outstanding_ = in.u64();
   last_completion_ = in.f64();
 
-  const std::uint64_t pending = in.u64();
+  const std::uint64_t pending = in.count(24);
   for (std::uint64_t i = 0; i < pending; ++i) {
     Completion c{};
     c.time = in.f64();
@@ -1517,7 +1650,7 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
     queue_.push(c);
   }
 
-  const std::uint64_t evals = in.u64();
+  const std::uint64_t evals = in.count(kRecordMinBytes);
   result_.evals.clear();
   result_.evals.reserve(evals);
   for (std::uint64_t i = 0; i < evals; ++i) result_.evals.push_back(get_record(in));
@@ -1541,7 +1674,7 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   result_.ladder_rung_hits = in.u64();
 
   exec::UtilizationMonitor::State ms;
-  const std::uint64_t intervals = in.u64();
+  const std::uint64_t intervals = in.count(16);
   ms.intervals.resize(intervals);
   for (auto& [start, end] : ms.intervals) {
     start = in.f64();
@@ -1558,24 +1691,24 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
   if (has_ps) {
     ParameterServer::State s;
     s.params = in.floats();
-    const std::uint64_t rounds = in.u64();
+    const std::uint64_t rounds = in.count(kVectorMinBytes);
     s.pending.resize(rounds);
     for (auto& d : s.pending) d = in.floats();
-    const std::uint64_t submitted = in.u64();
+    const std::uint64_t submitted = in.count(1);
     s.submitted.resize(submitted);
     for (auto& v : s.submitted) v = in.u8();
-    const std::uint64_t active = in.u64();
+    const std::uint64_t active = in.count(1);
     s.active.resize(active);
     for (auto& v : s.active) v = in.u8();
     s.active_count = in.u64();
     s.pending_count = in.u64();
     s.last_arrival = in.f64();
-    const std::uint64_t recent = in.u64();
+    const std::uint64_t recent = in.count(kVectorMinBytes);
     s.recent.resize(recent);
     for (auto& d : s.recent) d = in.floats();
     s.recent_next = in.u64();
     s.updates_applied = in.u64();
-    const std::uint64_t pulled = in.u64();
+    const std::uint64_t pulled = in.count(8);
     s.pulled_version.resize(pulled);
     for (auto& v : s.pulled_version) v = in.u64();
     s.arrival_time = in.doubles();
@@ -1603,11 +1736,11 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
       rl::Controller::State cs;
       cs.flat = in.floats();
       cs.adam.step_count = static_cast<long>(in.i64());
-      const std::uint64_t entries = in.u64();
+      const std::uint64_t entries = in.count(4 * kVectorMinBytes);
       cs.adam.entries.resize(entries);
       for (auto& e : cs.adam.entries) {
         e.key = in.str();
-        const std::uint64_t rank = in.u64();
+        const std::uint64_t rank = in.count(8);
         e.shape.resize(rank);
         for (auto& d : e.shape) d = in.u64();
         e.m = in.floats();
@@ -1616,7 +1749,7 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
       a.controller->load_state(cs);
     }
 
-    const std::uint64_t pop = in.u64();
+    const std::uint64_t pop = in.count(kArchMinBytes + 4);
     a.population.clear();
     for (std::uint64_t i = 0; i < pop; ++i) {
       space::ArchEncoding arch = get_arch(in);
@@ -1625,7 +1758,7 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
     }
 
     exec::CachedEvaluator::State cache;
-    const std::uint64_t cached = in.u64();
+    const std::uint64_t cached = in.count(kVectorMinBytes + kEvalResultMinBytes);
     cache.entries.resize(cached);
     for (auto& [key, res] : cache.entries) {
       key = in.str();
@@ -1635,7 +1768,7 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
     cache.misses = in.u64();
     a.cache->import_state(cache);
 
-    const std::uint64_t rollouts = in.u64();
+    const std::uint64_t rollouts = in.count(kArchMinBytes + 2 * kVectorMinBytes);
     a.rollouts.clear();
     a.rollouts.resize(rollouts);
     for (rl::Rollout& ro : a.rollouts) {
@@ -1643,11 +1776,11 @@ void SearchRun::restore(const ckpt::SnapshotHeader& header, ckpt::ByteReader& in
       ro.log_probs = in.floats();
       ro.values = in.floats();
     }
-    const std::uint64_t archs = in.u64();
+    const std::uint64_t archs = in.count(kArchMinBytes);
     a.archs.clear();
     a.archs.resize(archs);
     for (auto& arch : a.archs) arch = get_arch(in);
-    const std::uint64_t records = in.u64();
+    const std::uint64_t records = in.count(kRecordMinBytes);
     a.records.clear();
     a.records.reserve(records);
     for (std::uint64_t i = 0; i < records; ++i) a.records.push_back(get_record(in));

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "ncnas/nn/layers.hpp"
 #include "ncnas/obs/profiler.hpp"
@@ -45,7 +46,8 @@ void Graph::set_output(std::size_t node_id) {
   has_output_ = true;
 }
 
-FeatShape Graph::output_shape() const {
+template <typename Visit>
+std::vector<FeatShape> Graph::infer_shapes(Visit&& visit) const {
   std::vector<FeatShape> shapes(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
@@ -53,8 +55,23 @@ FeatShape Graph::output_shape() const {
     in.reserve(node.inputs.size());
     for (std::size_t src : node.inputs) in.push_back(shapes[src]);
     shapes[i] = node.layer->output_shape(in);
+    visit(i, std::span<const FeatShape>(in));
   }
-  return shapes[output_id_];
+  return shapes;
+}
+
+FeatShape Graph::output_shape() const {
+  return infer_shapes([](std::size_t, std::span<const FeatShape>) {})[output_id_];
+}
+
+std::size_t Graph::planned_param_count() const {
+  std::unordered_set<const void*> slots;
+  std::size_t total = 0;
+  (void)infer_shapes([&](std::size_t i, std::span<const FeatShape> in) {
+    const PlannedParams p = nodes_[i].layer->planned_params(in);
+    if (p.count != 0 && slots.insert(p.slot).second) total += p.count;
+  });
+  return total;
 }
 
 Tensor Graph::forward(std::span<const Tensor> inputs, ForwardCtx& ctx) {

@@ -233,6 +233,11 @@ std::vector<ParamPtr> Dense::parameters() const {
   return {slot_->w, slot_->b};
 }
 
+PlannedParams Dense::planned_params(std::span<const FeatShape> in) const {
+  const std::size_t in_dim = single_shape(in, "dense")[0];
+  return {slot_.get(), in_dim * units_ + units_};
+}
+
 std::string Dense::describe() const {
   std::ostringstream os;
   os << "dense(" << units_ << ", " << act_name(act_) << (shared_ ? ", shared" : "") << ")";
@@ -415,6 +420,11 @@ std::vector<Tensor> Conv1D::backward(const Tensor& grad_out) {
 std::vector<ParamPtr> Conv1D::parameters() const {
   if (!slot_->w) return {};
   return {slot_->w, slot_->b};
+}
+
+PlannedParams Conv1D::planned_params(std::span<const FeatShape> in) const {
+  const std::size_t fan_in = kernel_ * single_shape(in, "conv1d")[1];
+  return {slot_.get(), fan_in * filters_ + filters_};
 }
 
 std::string Conv1D::describe() const {

@@ -11,6 +11,11 @@
 // the rollouts and rewards they are computed from; every other journal byte
 // is virtual-clock data.
 //
+// Each case also runs once more with null telemetry, the schedule where
+// trainings run ahead of the event loop and rewards are awaited only at the
+// harvest; its save_result text must match the journal run's, telemetry
+// flag aside.
+//
 // When an intended behaviour change moves a digest, the failure message
 // prints the new value to paste into kGolden below.
 
@@ -141,24 +146,40 @@ exec::LadderConfig two_rung_ladder() {
 struct Digests {
   std::uint64_t result = 0;
   std::uint64_t journal = 0;
+  /// The result digest with SearchResult::telemetry_enabled cleared — what a
+  /// run without telemetry must save.
+  std::uint64_t untagged = 0;
 };
 
-// Runs one search with a journal attached and folds its save_result text
-// and canonical journal bytes into `d`.
+std::string saved_text(const SearchResult& result, const std::string& fingerprint,
+                       const std::string& log_path) {
+  save_result(log_path, result, fingerprint);
+  std::ifstream in(log_path, std::ios::binary);
+  std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  in.close();
+  std::filesystem::remove(log_path);
+  return text;
+}
+
+// Runs one search and folds its save_result text into `d` — with a journal
+// attached (the recorded schedule: rewards awaited at commit) and its
+// canonical journal bytes too, or with null telemetry (rewards awaited at
+// harvest, trainings running ahead of the event loop).
 void run_and_digest(const SearchConfig& base, const space::SearchSpace& space,
-                    const std::string& log_path, tensor::ThreadPool& pool, Digests& d) {
+                    const std::string& log_path, tensor::ThreadPool& pool, bool journal,
+                    Digests& d) {
   const data::Dataset ds = tiny_nt3();
   obs::Telemetry telemetry;
   telemetry.enable_journal();
   SearchConfig cfg = base;
-  cfg.telemetry = &telemetry;
-  const SearchResult result = SearchDriver(space, ds, cfg, &pool).run();
+  cfg.telemetry = journal ? &telemetry : nullptr;
+  SearchResult result = SearchDriver(space, ds, cfg, &pool).run();
 
-  save_result(log_path, result, config_fingerprint(base, space.name()));
-  std::ifstream in(log_path, std::ios::binary);
-  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-  std::filesystem::remove(log_path);
-  d.result = fnv1a(text, d.result);
+  const std::string fingerprint = config_fingerprint(base, space.name());
+  d.result = fnv1a(saved_text(result, fingerprint, log_path), d.result);
+  result.telemetry_enabled = false;
+  d.untagged = fnv1a(saved_text(result, fingerprint, log_path), d.untagged);
+  if (!journal) return;
 
   std::vector<obs::JournalEvent> events = telemetry.journal()->snapshot();
   for (obs::JournalEvent& e : events) {
@@ -172,12 +193,12 @@ void run_and_digest(const SearchConfig& base, const space::SearchSpace& space,
   d.journal = fnv1a(jsonl.str(), d.journal);
 }
 
-Digests run_case(SearchStrategy strategy, Setup setup) {
+Digests run_case(SearchStrategy strategy, Setup setup, bool journal) {
   tensor::ThreadPool pool(2);
   const std::string log_path = ::testing::TempDir() + "ncnas_golden_" +
                                strategy_name(strategy) + "_" + setup_name(setup) + ".log";
   SearchConfig cfg = base_config(strategy);
-  Digests d{1469598103934665603ull, 1469598103934665603ull};
+  Digests d{1469598103934665603ull, 1469598103934665603ull, 1469598103934665603ull};
   const bool collide =
       setup == Setup::kSharedCollide || setup == Setup::kSharedCollideBounded;
   const space::SearchSpace space = collide ? tiny_space() : space::nt3_small_space();
@@ -202,14 +223,16 @@ Digests run_case(SearchStrategy strategy, Setup setup) {
       cfg.shared_cache = &shared;
       for (std::uint32_t tenant = 0; tenant < 2; ++tenant) {
         cfg.tenant_id = tenant;
-        run_and_digest(cfg, space, log_path, pool, d);
+        run_and_digest(cfg, space, log_path, pool, journal, d);
       }
       const exec::SharedEvalCache::Stats totals = shared.totals();
-      d.result = fnv1a(std::to_string(totals.hits) + "/" + std::to_string(totals.misses) + "/" +
-                           std::to_string(totals.inserts) + "/" +
-                           std::to_string(totals.cross_tenant_hits) + "/" +
-                           std::to_string(totals.evictions),
-                       d.result);
+      const std::string stats = std::to_string(totals.hits) + "/" +
+                                std::to_string(totals.misses) + "/" +
+                                std::to_string(totals.inserts) + "/" +
+                                std::to_string(totals.cross_tenant_hits) + "/" +
+                                std::to_string(totals.evictions);
+      d.result = fnv1a(stats, d.result);
+      d.untagged = fnv1a(stats, d.untagged);
       return d;
     }
     case Setup::kBudget:
@@ -217,7 +240,7 @@ Digests run_case(SearchStrategy strategy, Setup setup) {
       // the other inside the second A2C round.
       for (const std::size_t cap : {5u, 13u}) {
         cfg.max_evaluations = cap;
-        run_and_digest(cfg, space, log_path, pool, d);
+        run_and_digest(cfg, space, log_path, pool, journal, d);
       }
       return d;
     case Setup::kChaos:
@@ -227,7 +250,7 @@ Digests run_case(SearchStrategy strategy, Setup setup) {
       cfg.ladder = two_rung_ladder();
       break;
   }
-  run_and_digest(cfg, space, log_path, pool, d);
+  run_and_digest(cfg, space, log_path, pool, journal, d);
   return d;
 }
 
@@ -296,9 +319,13 @@ std::string hex(std::uint64_t v) {
 
 TEST_P(DriverGolden, ResultAndJournalDigestsMatchRecording) {
   const Golden& g = GetParam();
-  const Digests got = run_case(g.strategy, g.setup);
+  const Digests got = run_case(g.strategy, g.setup, /*journal=*/true);
   EXPECT_EQ(hex(got.result), hex(g.expected.result)) << "save_result digest";
   EXPECT_EQ(hex(got.journal), hex(g.expected.journal)) << "journal digest";
+  // The null-telemetry schedule defers every reward to the harvest; it must
+  // save the same search.
+  const Digests unobserved = run_case(g.strategy, g.setup, /*journal=*/false);
+  EXPECT_EQ(hex(unobserved.result), hex(got.untagged)) << "null-telemetry save_result digest";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategiesAndSetups, DriverGolden, ::testing::ValuesIn(kGolden),

@@ -2,6 +2,7 @@
 
 #include "ncnas/nas/driver.hpp"
 #include "ncnas/space/spaces.hpp"
+#include "ncnas/tensor/thread_pool.hpp"
 
 namespace ncnas::nas {
 namespace {
@@ -75,17 +76,90 @@ TEST(Driver, DeterministicAcrossRuns) {
   }
 }
 
+// A four-architecture space: every agent's cache fills within a few cycles,
+// so the all-agents-converged stop fires well before the wall-time limit.
+space::SearchSpace tiny_space() {
+  using namespace space;
+  Structure st;
+  st.name = "nt3-tiny";
+  st.input_names = {"rna-seq.expression"};
+  Cell cell{"C0", {}};
+  Block b{"b0", SkipRef::to_input(0), {}};
+  b.nodes.emplace_back(VariableNode{"conv", {IdentityOp{}, Conv1DOp{4, 3}}});
+  b.nodes.emplace_back(VariableNode{"act", {IdentityOp{}, ActivationOp{nn::Act::kRelu}}});
+  cell.blocks.push_back(std::move(b));
+  st.cells.push_back(std::move(cell));
+  st.output_cells = {0};
+  return SearchSpace(std::move(st));
+}
+
+/// The full record stream and every tally the search computes.
+void expect_same_search(const SearchResult& a, const SearchResult& b) {
+  ASSERT_EQ(a.evals.size(), b.evals.size());
+  for (std::size_t i = 0; i < a.evals.size(); ++i) {
+    SCOPED_TRACE("eval " + std::to_string(i));
+    const EvalRecord& x = a.evals[i];
+    const EvalRecord& y = b.evals[i];
+    EXPECT_DOUBLE_EQ(x.time, y.time);
+    EXPECT_EQ(x.reward, y.reward);
+    EXPECT_EQ(x.params, y.params);
+    EXPECT_DOUBLE_EQ(x.sim_duration, y.sim_duration);
+    EXPECT_EQ(x.cache_hit, y.cache_hit);
+    EXPECT_EQ(x.shared_hit, y.shared_hit);
+    EXPECT_EQ(x.timed_out, y.timed_out);
+    EXPECT_EQ(x.failed, y.failed);
+    EXPECT_EQ(x.attempts, y.attempts);
+    EXPECT_EQ(x.agent, y.agent);
+    EXPECT_EQ(x.arch, y.arch);
+  }
+  EXPECT_DOUBLE_EQ(a.end_time, b.end_time);
+  EXPECT_EQ(a.converged_early, b.converged_early);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.timeouts, b.timeouts);
+  EXPECT_EQ(a.unique_archs, b.unique_archs);
+  EXPECT_EQ(a.ppo_updates, b.ppo_updates);
+  ASSERT_EQ(a.utilization.size(), b.utilization.size());
+  for (std::size_t i = 0; i < a.utilization.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.utilization[i], b.utilization[i]);
+  }
+}
+
+// Trainings run ahead of the event loop on a pool, and their rewards are
+// awaited only where something reads them; with a journal attached they are
+// awaited at commit instead. Every schedule must produce the same search:
+// no pool, a 1-thread pool, a 4-thread pool, and a 4-thread pool with a
+// journal — for every strategy, with a budget cap that lands inside a round,
+// and on a run that converges early (trainings still in flight at the stop).
 TEST(Driver, DeterministicWithThreadPool) {
-  const space::SearchSpace s = space::nt3_small_space();
   const data::Dataset ds = tiny_nt3();
-  SearchConfig cfg = small_config(SearchStrategy::kA3C);
-  cfg.wall_time_seconds = 600.0;
-  tensor::ThreadPool pool(4);
-  const SearchResult serial = SearchDriver(s, ds, cfg).run();
-  const SearchResult parallel = SearchDriver(s, ds, cfg, &pool).run();
-  ASSERT_EQ(serial.evals.size(), parallel.evals.size());
-  for (std::size_t i = 0; i < serial.evals.size(); ++i) {
-    EXPECT_EQ(serial.evals[i].reward, parallel.evals[i].reward);
+  const space::SearchSpace nt3 = space::nt3_small_space();
+  const space::SearchSpace tiny = tiny_space();
+  tensor::ThreadPool pool1(1);
+  tensor::ThreadPool pool4(4);
+  enum class Scenario { kPlain, kBudget, kConverging };
+  for (const SearchStrategy strategy : {SearchStrategy::kA3C, SearchStrategy::kA2C,
+                                        SearchStrategy::kRandom, SearchStrategy::kEvolution}) {
+    for (const Scenario scenario :
+         {Scenario::kPlain, Scenario::kBudget, Scenario::kConverging}) {
+      SCOPED_TRACE(std::string(strategy_name(strategy)) + " scenario " +
+                   std::to_string(static_cast<int>(scenario)));
+      SearchConfig cfg = small_config(strategy);
+      // The converging run gets a wall-time limit only the stop can beat.
+      cfg.wall_time_seconds = scenario == Scenario::kConverging ? 1e5 : 600.0;
+      if (scenario == Scenario::kBudget) cfg.max_evaluations = 7;  // inside the 2nd batch
+      const space::SearchSpace& s = scenario == Scenario::kConverging ? tiny : nt3;
+
+      const SearchResult reference = SearchDriver(s, ds, cfg).run();
+      EXPECT_EQ(reference.converged_early, scenario == Scenario::kConverging);
+
+      expect_same_search(reference, SearchDriver(s, ds, cfg, &pool1).run());
+      expect_same_search(reference, SearchDriver(s, ds, cfg, &pool4).run());
+      obs::Telemetry tel;
+      tel.enable_journal();
+      SearchConfig journaled = cfg;
+      journaled.telemetry = &tel;
+      expect_same_search(reference, SearchDriver(s, ds, journaled, &pool4).run());
+    }
   }
 }
 

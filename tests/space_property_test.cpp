@@ -93,6 +93,41 @@ TEST_P(SpaceProperty, EveryRandomArchBuildsForwardsAndBackwards) {
   }
 }
 
+// The quote prices a candidate from shape inference alone; it must agree
+// with the count the materialized weights report after a forward pass —
+// mirrored (weight-sharing) layers included, counted once.
+TEST_P(SpaceProperty, PlannedParamCountMatchesMaterializedCount) {
+  const SearchSpace sp = space_by_name(GetParam());
+  const data::Dataset ds = tiny_dataset_for(GetParam());
+  std::vector<std::size_t> dims;
+  for (std::size_t i = 0; i < ds.input_count(); ++i) dims.push_back(ds.input_dim(i));
+  const TaskHead head = exec::head_for(ds);
+  std::vector<tensor::Tensor> probe;
+  for (const auto& x : ds.x_train) probe.push_back(nn::slice_rows(x, 0, 1));
+
+  tensor::Rng arch_rng(31);
+  std::size_t mirrored = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const ArchEncoding arch = sp.random_arch(arch_rng);
+    tensor::Rng rng(5);
+    nn::Graph g = build_model(sp, arch, dims, head, rng);
+    ASSERT_EQ(g.param_count(), 0u) << "weights materialized before any forward";
+    const std::size_t planned = g.planned_param_count();
+    EXPECT_EQ(g.param_count(), 0u) << "planning allocated weights";
+    nn::ForwardCtx ctx{};
+    (void)g.forward(probe, ctx);
+    ASSERT_EQ(planned, g.param_count()) << sp.describe(arch) << '\n' << g.summary();
+    if (g.summary().find(", shared)") != std::string::npos) ++mirrored;
+  }
+  // Combo's drug-descriptor submodel is mirrored, so shared slots are
+  // exercised; the other spaces have no MirrorNode.
+  if (GetParam().starts_with("combo")) {
+    EXPECT_GT(mirrored, 0u);
+  } else {
+    EXPECT_EQ(mirrored, 0u);
+  }
+}
+
 TEST_P(SpaceProperty, EveryRandomArchTrainsOneEpoch) {
   const SearchSpace sp = space_by_name(GetParam());
   const data::Dataset ds = tiny_dataset_for(GetParam());
